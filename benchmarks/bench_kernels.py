@@ -12,7 +12,9 @@ Workloads:
 
 * direction predictors and the BTB over the concatenated per-layout
   branch streams of 445.gobmk (one stream per reordered executable,
-  ``REPRO_SCALE`` layouts);
+  ``REPRO_SCALE`` layouts) — including TAGE, L-TAGE, the perceptron
+  and gskew, whose bulk paths are fused per-event loops rather than
+  numpy scans;
 * the L1I cache over the concatenated ifetch streams;
 * the indirect-target predictors over an interpreter-shaped program
   (the suite benchmarks have no indirect sites);
@@ -56,9 +58,12 @@ from repro.uarch.predictors.bimodal import BimodalPredictor
 from repro.uarch.predictors.bimode import BiModePredictor
 from repro.uarch.predictors.gas import GAsPredictor
 from repro.uarch.predictors.gshare import GsharePredictor
+from repro.uarch.predictors.gskew import GskewPredictor
 from repro.uarch.predictors.hybrid import HybridPredictor
 from repro.uarch.predictors.indirect import IttageLitePredictor, LastTargetPredictor
 from repro.uarch.predictors.pas import PAsPredictor
+from repro.uarch.predictors.perceptron import PerceptronPredictor
+from repro.uarch.predictors.tage import LTagePredictor, TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
 from repro.workloads.suite import get_benchmark
 
@@ -229,6 +234,12 @@ def main() -> int:
             history_bits=config.history_bits,
             chooser_entries=config.chooser_entries,
         ),
+        # The extended zoo's and the Pin sweep's most expensive members,
+        # at the geometries those experiments run.
+        "gskew-2048x8": lambda: GskewPredictor(entries_per_bank=2048, history_bits=8),
+        "perceptron-1024x12": lambda: PerceptronPredictor(1024, history_bits=12),
+        "tage": lambda: TagePredictor(name="TAGE"),
+        "ltage": LTagePredictor,
     }
 
     rows = []

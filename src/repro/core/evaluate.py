@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy import special
 
 from repro import units
 from repro.core.interferometer import Interferometer
@@ -67,7 +67,7 @@ def mean_confidence_interval(values: np.ndarray, confidence: float = 0.95) -> In
     if n < 2:
         return Interval(center=center, low=center, high=center, confidence=confidence)
     stderr = float(values.std(ddof=1)) / math.sqrt(n)
-    t_star = float(t_dist.ppf(0.5 + confidence / 2.0, n - 1))
+    t_star = float(special.stdtrit(n - 1, 0.5 + confidence / 2.0))
     half = t_star * stderr
     return Interval(center=center, low=center - half, high=center + half, confidence=confidence)
 

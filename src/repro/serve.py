@@ -381,12 +381,27 @@ class CampaignServer:
 
     async def _handle_client(self, reader, writer) -> None:
         try:
-            request_line = await reader.readline()
+            # A line longer than the reader's limit raises ValueError
+            # (the stream drops what it buffered); the rest of the head
+            # is still read, so the error answer is not lost to a reset.
+            too_long = None
+            try:
+                request_line = await reader.readline()
+            except ValueError:
+                request_line, too_long = b"", "414 URI Too Long"
             while True:
-                header = await reader.readline()
+                try:
+                    header = await reader.readline()
+                except ValueError:
+                    too_long = too_long or "431 Request Header Fields Too Large"
+                    continue
                 if header in (b"\r\n", b"\n", b""):
                     break
-            status, body, content_type = await self._respond(request_line)
+            if too_long is None:
+                status, body, content_type = await self._respond(request_line)
+            else:
+                status, body = too_long, "request line or header too long\n"
+                content_type = "text/plain"
             payload = body.encode()
             writer.write(
                 (

@@ -3,8 +3,10 @@
 All estimators — descriptive statistics, Pearson correlation, simple and
 multiple least-squares regression, confidence/prediction intervals,
 Student's t-test, and the F-test — are implemented in this package.
-:mod:`scipy` is used only for the CDF/quantile functions of the t and F
-distributions.
+:mod:`scipy.special` supplies only the t, F and chi-squared tail and
+quantile functions (``stdtr``, ``stdtrit``, ``fdtrc``, ``chdtrc``);
+``scipy.stats`` is never imported, which keeps interpreter start-up
+short.
 """
 
 from repro.stats.correlation import (

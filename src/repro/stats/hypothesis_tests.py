@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import f as f_dist
-from scipy.stats import t as t_dist
+from scipy import special
 
 from repro.errors import ModelError
 from repro.stats.correlation import pearson_r
@@ -70,7 +69,7 @@ def t_test_correlation(x: Sequence[float], y: Sequence[float]) -> TTestResult:
     if abs(r) >= 1.0:
         return TTestResult(statistic=math.inf if r > 0 else -math.inf, dof=dof, p_value=0.0)
     t_stat = r * math.sqrt(dof) / math.sqrt(1.0 - r * r)
-    p = 2.0 * float(t_dist.sf(abs(t_stat), dof))
+    p = 2.0 * float(special.stdtr(dof, -abs(t_stat)))
     return TTestResult(statistic=t_stat, dof=dof, p_value=p)
 
 
@@ -86,7 +85,7 @@ def t_test_slope(fit: SimpleLinearFit, null_slope: float = 0.0) -> TTestResult:
     if stderr == 0.0:
         return TTestResult(statistic=math.inf, dof=dof, p_value=0.0)
     t_stat = (fit.slope - null_slope) / stderr
-    p = 2.0 * float(t_dist.sf(abs(t_stat), dof))
+    p = 2.0 * float(special.stdtr(dof, -abs(t_stat)))
     return TTestResult(statistic=t_stat, dof=dof, p_value=p)
 
 
@@ -108,7 +107,7 @@ def f_test_regression(fit: MultipleLinearFit) -> FTestResult:
     f_stat = (ssr / dof_model) / (fit.residual_ss / dof_residual)
     if f_stat < 0.0:
         f_stat = 0.0
-    p = float(f_dist.sf(f_stat, dof_model, dof_residual))
+    p = float(special.fdtrc(dof_model, dof_residual, f_stat))
     return FTestResult(
         statistic=f_stat, dof_model=dof_model, dof_residual=dof_residual, p_value=p
     )

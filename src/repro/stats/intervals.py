@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy import special
 
 from repro.errors import ModelError
 from repro.stats.regression import MultipleLinearFit, SimpleLinearFit
@@ -57,7 +57,7 @@ def _critical_t(confidence: float, dof: int) -> float:
         raise ModelError(f"confidence must be in (0, 1), got {confidence}")
     if dof <= 0:
         raise ModelError(f"need positive degrees of freedom, got {dof}")
-    return float(t_dist.ppf(0.5 + confidence / 2.0, dof))
+    return float(special.stdtrit(dof, 0.5 + confidence / 2.0))
 
 
 def confidence_interval_mean_response(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy import special
 
 from repro.errors import ModelError
 
@@ -57,7 +57,7 @@ def jarque_bera(values: Sequence[float]) -> NormalityResult:
     skewness = float(np.mean(centered**3)) / variance**1.5
     kurtosis = float(np.mean(centered**4)) / variance**2 - 3.0
     statistic = n / 6.0 * (skewness**2 + kurtosis**2 / 4.0)
-    p_value = float(chi2.sf(statistic, df=2))
+    p_value = float(special.chdtrc(2, statistic))
     return NormalityResult(
         statistic=statistic,
         p_value=p_value,

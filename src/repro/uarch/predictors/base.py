@@ -117,7 +117,7 @@ class BranchPredictor(ABC):
         """
         mispredicts = 0
         predict = self.predict_and_update
-        # repro: allow-PERF001 per-event bulk fallback for the predictors without an array formulation — TAGE's tagged-provider allocation and the perceptron's dot-product threshold training update state along the event chain (ROADMAP item 1 tracks their conversion)
+        # repro: allow-PERF001 per-event bulk fallback for the predictors without an array formulation — the perceptron's dot-product threshold training updates its weights along the event chain (ROADMAP item 1 tracks its conversion)
         for pc, outcome in zip(addresses.tolist(), outcomes.tolist()):
             if not predict(pc, outcome):
                 mispredicts += 1

@@ -24,6 +24,8 @@ recurrence, handled by one of four segmented scans:
 * :func:`shifted_histories` — per-event shift-register values (global
   branch history, ITTAGE target history) in ``ceil(bits/shift)``
   passes.
+* :func:`folded_histories` — TAGE's folded global histories as a
+  closed-form XOR over the outcome stream.
 * :func:`local_history_scan` — per-address shift registers (PAs and
   tournament BHTs): the same recurrence, segmented by table entry.
 * :func:`last_value_scan` / :func:`sticky_install_scan` — last-target
@@ -129,6 +131,47 @@ def shifted_histories(
     hist &= mask
     carry_out = int(((hist[n - 1] << shift) | values[n - 1]) & mask)
     return hist, carry_out
+
+
+def folded_histories(
+    outcomes: np.ndarray, length: int, bits: int
+) -> tuple[np.ndarray, int]:
+    """Per-event values of a TAGE folded global history, in closed form.
+
+    A folded history squeezes the newest *length* outcomes into *bits*
+    bits: the register seen before event ``t`` is ``XOR_{j < length}
+    outcomes[t - 1 - j] << (j % bits)``, with outcomes before the trace
+    reading as zero.  The predictor maintains it incrementally
+    (rotate, shift in, cancel the evicted bit); here it comes from the
+    outcome stream alone.  With ``w[t]`` the newest *bits* outcomes
+    packed newest-first, the fold is the XOR of ``w`` at strides of
+    *bits* over ``length // bits`` chunks — a difference of two
+    stride-*bits* prefix XORs — plus the partial chunk masked to
+    ``length % bits`` bits.
+
+    Returns the register before each event and its value after the
+    last one.
+    """
+    if length < 1 or bits < 1:
+        raise ConfigurationError(
+            f"folded history needs length >= 1 and bits >= 1, got {length}/{bits}"
+        )
+    m = int(outcomes.size) + 1
+    values = np.zeros(m, dtype=np.int64)
+    values[: m - 1] = outcomes
+    packed = _trailing_packed(values, bits, 1)
+    rows = -(-m // bits)
+    prefix = np.zeros(rows * bits, dtype=np.int64)
+    prefix[:m] = packed
+    prefix = np.bitwise_xor.accumulate(prefix.reshape(rows, bits), axis=0).ravel()[:m]
+    whole, part = divmod(length, bits)
+    span = whole * bits
+    fold = prefix.copy()
+    if span < m:
+        fold[span:] ^= prefix[: m - span]
+        if part:
+            fold[span:] ^= packed[: m - span] & ((1 << part) - 1)
+    return fold[: m - 1], int(fold[m - 1])
 
 
 class IndexGroups:

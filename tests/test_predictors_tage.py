@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.harness.lab import SCALES, Laboratory
 from repro.uarch.predictors.bimodal import BimodalPredictor
-from repro.uarch.predictors.tage import LTagePredictor, TagePredictor, _FoldedHistory
+from repro.uarch.predictors.tage import LTagePredictor, TagePredictor, _fold_step
+from repro.uarch.vector import folded_histories
+from repro.workloads.suite import get_benchmark
 
 
 def _pattern_stream(pattern, repeats, pc=0x400040):
@@ -28,32 +32,72 @@ class TestFoldedHistory:
     def test_incremental_matches_recompute(self, length, bits):
         """The O(1) incremental update equals folding from scratch."""
         rng = np.random.default_rng(0)
-        folded = _FoldedHistory(length, bits)
+        folded = 0
         history = [0] * length  # oldest..newest padding
         for _ in range(400):
             new_bit = int(rng.integers(0, 2))
             evicted = history[-length]
-            folded.update(new_bit, evicted)
+            folded = _fold_step(folded, new_bit, evicted, length, bits)
             history.append(new_bit)
         # Reference: fold the last `length` bits.  The incremental
         # register applies a circular-shift variant of folding; verify
         # it is at least a *function* of exactly those bits by replaying.
-        replay = _FoldedHistory(length, bits)
+        replay = 0
         tail = history[-length:]
         warm = [0] * length + tail
         for i in range(length, len(warm)):
-            replay.update(warm[i], warm[i - length])
-        assert replay.comp == folded.comp
+            replay = _fold_step(replay, warm[i], warm[i - length], length, bits)
+        assert replay == folded
 
     def test_mask_respected(self):
-        folded = _FoldedHistory(20, 6)
+        folded = 0
         rng = np.random.default_rng(1)
         history = [0] * 20
         for _ in range(200):
             bit = int(rng.integers(0, 2))
-            folded.update(bit, history[-20])
+            folded = _fold_step(folded, bit, history[-20], 20, 6)
             history.append(bit)
-            assert 0 <= folded.comp < (1 << 6)
+            assert 0 <= folded < (1 << 6)
+
+
+def _replay_folds(outcomes, length, bits):
+    """Per-event folds and the final fold from the incremental update."""
+    history = [0] * length
+    folded, before = 0, []
+    for bit in outcomes.tolist():
+        before.append(folded)
+        folded = _fold_step(folded, bit, history[-length], length, bits)
+        history.append(bit)
+    return before, folded
+
+
+class TestClosedFormFolds:
+    """``folded_histories`` equals replaying the incremental register."""
+
+    @pytest.mark.parametrize(
+        "length,bits,n",
+        [
+            (40, 10, 500),  # length % bits == 0
+            (114, 10, 500),
+            (14, 9, 500),
+            (5, 8, 300),  # length < bits
+            (114, 11, 60),  # length > n
+            (40, 10, 1),
+            (40, 10, 0),  # empty stream
+        ],
+    )
+    def test_matches_incremental_replay(self, length, bits, n):
+        rng = np.random.default_rng(length * 1000 + bits + n)
+        outcomes = rng.integers(0, 2, size=n).astype(np.uint8)
+        before, final = _replay_folds(outcomes, length, bits)
+        folds, carry = folded_histories(outcomes, length, bits)
+        assert folds.tolist() == before
+        assert carry == final
+
+    @pytest.mark.parametrize("length,bits", [(0, 10), (40, 0)])
+    def test_rejects_degenerate_registers(self, length, bits):
+        with pytest.raises(ConfigurationError):
+            folded_histories(np.ones(4, dtype=np.int64), length, bits)
 
 
 class TestTage:
@@ -79,6 +123,19 @@ class TestTage:
     def test_history_lengths_must_increase(self):
         with pytest.raises(ValueError):
             TagePredictor(history_lengths=(10, 5))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"history_lengths": ()},
+            {"history_lengths": (0, 5)},
+            {"tag_bits": 1},
+            {"table_bits": 2, "history_lengths": (2, 4, 8, 16)},
+        ],
+    )
+    def test_degenerate_geometry_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            TagePredictor(**kwargs)
 
     def test_storage_bits_positive(self):
         assert TagePredictor().storage_bits() > 0
@@ -119,3 +176,19 @@ class TestLTage:
             addresses, outcomes, warmup=warmup
         )
         assert ltage < hybrid
+
+
+@pytest.mark.parametrize("name", ["400.perlbench", "445.gobmk"])
+def test_engines_agree_on_ci_campaign_layouts(name):
+    """Scalar and fused L-TAGE agree on real reordered executables."""
+    interferometer = Laboratory(scale=SCALES["ci"]).interferometer
+    bm = get_benchmark(name)
+    for index in range(3):
+        exe = interferometer.build_executable(bm, index)
+        addresses, outcomes = exe.branch_address_stream(), exe.trace.outcomes
+        warmup = len(outcomes) // 4
+        scalar, fused = LTagePredictor(), LTagePredictor()
+        assert scalar.simulate(
+            addresses, outcomes, warmup=warmup, engine="scalar"
+        ) == fused.simulate(addresses, outcomes, warmup=warmup, engine="vector")
+        assert vars(scalar) == vars(fused)

@@ -405,6 +405,33 @@ class TestHttpServer:
         assert b"405" in post_raw.split(b"\r\n", 1)[0]
         assert b"400" in bad_raw.split(b"\r\n", 1)[0]
 
+    @pytest.mark.parametrize(
+        "head,status",
+        [
+            (b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n", b"414"),
+            (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 100_000 + b"\r\n\r\n", b"431"),
+        ],
+        ids=["request-line", "header"],
+    )
+    def test_oversized_head_answers_status(self, lab, capfd, caplog, head, status):
+        """A line past the stream limit gets 414/431, not a dropped socket."""
+
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(head)
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            healthy = await http_get(server.port, "/healthz")
+            return raw, healthy
+
+        raw, (health_status, _, _) = self.run_with_server(lab, body)
+        assert status in raw.split(b"\r\n", 1)[0]
+        assert health_status == "200 OK"
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_drain_request_stops_the_server(self, lab):
         from repro.core.supervise import ShutdownHandler
 

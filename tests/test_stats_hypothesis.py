@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -12,6 +17,7 @@ from repro.stats.hypothesis_tests import (
     t_test_correlation,
     t_test_slope,
 )
+from repro.stats.normality import jarque_bera
 from repro.stats.regression import fit_multiple, fit_simple
 
 
@@ -118,3 +124,50 @@ class TestFTest:
         x = np.arange(10, dtype=float)
         result = f_test_regression(fit_multiple([x], 3.0 * x + 1.0))
         assert result.p_value < 1e-50
+
+
+class TestSpecialFunctionsMatchScipyStats:
+    """The ``scipy.special`` tails are bit-identical to ``scipy.stats``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("noise", [0.5, 5.0, 40.0])
+    def test_t_tests(self, seed, noise):
+        x, y = _correlated(n=8 + 7 * seed, noise=noise, seed=seed)
+        for result in (t_test_correlation(x, y), t_test_slope(fit_simple(x, y), 1.5)):
+            expected = 2.0 * float(scipy_stats.t.sf(abs(result.statistic), result.dof))
+            assert result.p_value == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_f_test(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12 + 5 * seed
+        X = rng.uniform(0, 10, (n, 3))
+        y = X @ [0.3, -0.1, 0.05] + rng.normal(0, 2.0, n)
+        result = f_test_regression(fit_multiple(list(X.T), y))
+        expected = float(
+            scipy_stats.f.sf(result.statistic, result.dof_model, result.dof_residual)
+        )
+        assert result.p_value == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jarque_bera(self, seed):
+        rng = np.random.default_rng(seed)
+        sample = rng.gamma(1.0 + seed, size=30 + 10 * seed)
+        result = jarque_bera(sample)
+        assert result.p_value == float(scipy_stats.chi2.sf(result.statistic, df=2))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """Start-up pays for ``scipy.special`` only, not ``scipy.stats``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from repro.core.evaluate import mean_confidence_interval
 from repro.errors import ModelError
 from repro.stats.intervals import (
     Interval,
+    _critical_t,
     confidence_interval_mean_response,
     interval_band,
     multiple_confidence_interval,
@@ -162,3 +164,21 @@ class TestMultipleIntervals:
         multi_ci = multiple_confidence_interval(multi, [3.0])
         assert multi_ci.low == pytest.approx(simple_ci.low, rel=1e-9)
         assert multi_ci.high == pytest.approx(simple_ci.high, rel=1e-9)
+
+
+class TestCriticalValuesMatchScipyStats:
+    """``scipy.special.stdtrit`` is bit-identical to ``scipy.stats.t.ppf``."""
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("dof", [1, 2, 3, 7, 38, 98, 1000])
+    def test_critical_t(self, confidence, dof):
+        expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+        assert _critical_t(confidence, dof) == expected
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 100])
+    def test_mean_confidence_interval(self, n):
+        values = np.random.default_rng(n).normal(1.3, 0.2, n)
+        interval = mean_confidence_interval(values, confidence=0.95)
+        t_star = float(scipy_stats.t.ppf(0.975, n - 1))
+        half = t_star * (float(values.std(ddof=1)) / np.sqrt(n))
+        assert interval.center + half == interval.high

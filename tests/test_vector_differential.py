@@ -39,7 +39,7 @@ from repro.uarch.predictors.static import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
 )
-from repro.uarch.predictors.tage import TagePredictor
+from repro.uarch.predictors.tage import LTagePredictor, TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
 
 from tests.conftest import make_tiny_spec
@@ -59,6 +59,7 @@ PREDICTOR_FACTORIES = {
     "bimode": lambda: BiModePredictor(entries=256, history_bits=6, choice_entries=64),
     "perceptron": lambda: PerceptronPredictor(entries=64, history_bits=10),
     "tage": lambda: TagePredictor(table_bits=6, bimodal_bits=8),
+    "ltage": lambda: LTagePredictor(table_bits=6, bimodal_bits=8, loop_entries=16),
     "always-taken": AlwaysTakenPredictor,
     "always-not-taken": AlwaysNotTakenPredictor,
     "perfect": PerfectPredictor,
@@ -74,9 +75,9 @@ _WARMUP_KINDS = ("zero", "third", "all", "past-end")
 
 
 def _comparable_state(predictor) -> dict | None:
-    """Predictor state when it is made of plain lists/ints, else None."""
+    """Predictor state when it is made of plain lists/tuples/ints, else None."""
     state = vars(predictor)
-    if all(isinstance(v, (list, int, str, bool)) for v in state.values()):
+    if all(isinstance(v, (list, tuple, int, str, bool)) for v in state.values()):
         return state
     return None
 
