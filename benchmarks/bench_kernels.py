@@ -18,9 +18,14 @@ Workloads:
 * the L1I cache over the concatenated ifetch streams;
 * the indirect-target predictors over an interpreter-shaped program
   (the suite benchmarks have no indirect sites);
-* an end-to-end interferometry campaign on the structural core model,
-  one fresh :class:`XeonCoreModel` per engine so the memo cache cannot
-  leak results across engines.
+* an end-to-end interferometry campaign through
+  :meth:`Interferometer.observe` (build, core model, PMC protocol),
+  one fresh machine per engine so the memo cache cannot leak results
+  across engines.
+
+The BTB and L1I vector rows run the layouts as the core model does:
+in lanes batches of :data:`repro.uarch.vector.LANE_ACCESSES`
+accesses, one kernel call per batch.
 
 Run:  python benchmarks/bench_kernels.py [--output PATH]
 Exits 1 if any scalar/vector count diverges.
@@ -46,9 +51,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro import telemetry
+from repro.core.interferometer import Interferometer
 from repro.harness.lab import get_lab
 from repro.machine.config import XeonE5440Config
 from repro.machine.core_model import XeonCoreModel
+from repro.machine.system import XeonE5440
 from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino
 from repro.uarch.btb import BranchTargetBuffer
@@ -82,14 +89,15 @@ def _load_interpreter_spec():
 
 
 def _campaign_streams(lab):
-    """Per-layout branch and ifetch streams of the campaign benchmark."""
+    """Per-layout branch and ifetch streams of the campaign benchmark,
+    and how many layouts the core model runs as lanes of one call."""
     bm = get_benchmark(BENCHMARK)
     branch, ifetch = [], []
     for i in range(lab.scale.n_layouts):
         exe = lab.interferometer.build_executable(bm, i)
         branch.append((exe.branch_address_stream(), exe.trace.outcomes))
         ifetch.append(exe.ifetch_address_stream())
-    return branch, ifetch
+    return branch, ifetch, XeonCoreModel.layouts_per_batch(exe.trace)
 
 
 def _indirect_streams(lab):
@@ -151,6 +159,34 @@ def _simulate_streams(structure, streams, warmup_fraction: float, engine: str) -
     return total
 
 
+def _lane_batches(streams: list, step: int) -> list[list]:
+    """The streams cut into the core model's lanes batches."""
+    return [streams[i : i + step] for i in range(0, len(streams), step)]
+
+
+def _observe_campaign(lab, n_layouts: int, engine: str) -> int:
+    """A whole campaign through :meth:`Interferometer.observe`.
+
+    The build, the core model, the PMC protocol and the observation
+    set are all timed.  ``engine="scalar"`` first fills the core
+    model's memo with the scalar oracle's counts, layout by layout, so
+    the campaign itself then only builds and measures.  Returns the
+    sum of every counter reading, equal on both engines.
+    """
+    machine = XeonE5440(XeonE5440Config(), seed=lab.machine_seed)
+    interferometer = Interferometer(machine, trace_events=lab.scale.trace_events)
+    bm = get_benchmark(BENCHMARK)
+    if engine == "scalar":
+        for i in range(n_layouts):
+            machine._core_model.execute(
+                interferometer.build_executable(bm, i), engine="scalar"
+            )
+    observations = interferometer.observe(bm, n_layouts=n_layouts)
+    return sum(
+        sum(obs.measurement.counters.values()) for obs in observations.observations
+    )
+
+
 def compare_to_baseline(
     report: dict, baseline: dict, max_regression: float
 ) -> list[str]:
@@ -206,7 +242,7 @@ def main() -> int:
 
     lab = get_lab()
     print(f"scale={lab.scale.name}: building {lab.scale.n_layouts} layouts of {BENCHMARK} ...")
-    branch_streams, ifetch_streams = _campaign_streams(lab)
+    branch_streams, ifetch_streams, lanes = _campaign_streams(lab)
     n_branch = sum(len(a) for a, _ in branch_streams)
     indirect_streams = _indirect_streams(lab)
     n_indirect_events = sum(len(a) for a, _ in indirect_streams)
@@ -255,31 +291,48 @@ def main() -> int:
             )
         )
 
-    print("btb:")
+    # The LRU structures' vector rows run as the core model does: the
+    # layouts in lanes batches, one kernel call per batch.
+    print(f"btb ({lanes} layout lanes per call):")
     btb = BranchTargetBuffer(
         entries=config.btb_entries, associativity=config.btb_associativity
     )
+
+    def btb_lanes():
+        return sum(
+            sum(btb.simulate_lanes(
+                [addrs for addrs, _ in batch],
+                [outcomes for _, outcomes in batch],
+                [int(len(addrs) * 0.25) for addrs, _ in batch],
+            ))
+            for batch in _lane_batches(branch_streams, lanes)
+        )
+
     rows.append(
         bench_row(
             "btb-xeon",
             n_branch,
             lambda: _simulate_streams(btb, branch_streams, 0.25, "scalar"),
-            lambda: _simulate_streams(btb, branch_streams, 0.25, "vector"),
+            btb_lanes,
         )
     )
 
-    print("caches:")
+    print(f"caches ({lanes} layout lanes per call):")
     l1i = SetAssociativeCache(config.l1i)
 
-    def cache_run(engine):
-        return sum(l1i.simulate(addrs, engine=engine) for addrs in ifetch_streams)
+    def l1i_lanes():
+        return sum(
+            int(np.count_nonzero(mask))
+            for batch in _lane_batches(ifetch_streams, lanes)
+            for mask in l1i.simulate_lanes(batch)
+        )
 
     rows.append(
         bench_row(
             "l1i-cache",
             n_ifetch,
-            lambda: cache_run("scalar"),
-            lambda: cache_run("vector"),
+            lambda: sum(l1i.simulate(addrs, engine="scalar") for addrs in ifetch_streams),
+            l1i_lanes,
         )
     )
 
@@ -298,21 +351,12 @@ def main() -> int:
             )
         )
 
-    print("end-to-end campaign (structural core model):")
-    bm = get_benchmark(BENCHMARK)
-    executables = [
-        lab.interferometer.build_executable(bm, i) for i in range(lab.scale.n_layouts)
-    ]
-
-    def campaign(engine):
-        core = XeonCoreModel(config)
-        return sum(core.execute(exe, engine=engine).mispredicts for exe in executables)
-
+    print("end-to-end campaign (Interferometer.observe: build, core model, PMC):")
     end_to_end = bench_row(
         "campaign-e2e",
         n_branch,
-        lambda: campaign("scalar"),
-        lambda: campaign("vector"),
+        lambda: _observe_campaign(lab, lab.scale.n_layouts, "scalar"),
+        lambda: _observe_campaign(lab, lab.scale.n_layouts, "vector"),
     )
 
     diverged = any(r["diverged"] for r in rows) or end_to_end["diverged"]

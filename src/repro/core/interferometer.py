@@ -8,7 +8,7 @@ for the performance monitoring counter measurements" (§7.2).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.observations import Observation, ObservationSet
 from repro.errors import ConfigurationError
@@ -91,9 +91,16 @@ class Interferometer:
             heap_seed=heap_seed(benchmark.name, index) if self.randomize_heap else None,
         )
 
-    def observe_one(self, benchmark: Benchmark, index: int) -> Observation:
-        """Measure one layout with the full counter protocol."""
-        executable = self.build_executable(benchmark, index)
+    def observe_one(
+        self, benchmark: Benchmark, index: int, executable: Executable | None = None
+    ) -> Observation:
+        """Measure one layout with the full counter protocol.
+
+        *executable* is the layout's build when the caller already has
+        it; by default it is built here.
+        """
+        if executable is None:
+            executable = self.build_executable(benchmark, index)
         measurement = measure_executable(
             self.machine,
             executable,
@@ -108,6 +115,23 @@ class Interferometer:
             heap_seed=executable.heap_seed,
             measurement=measurement,
         )
+
+    def _prepared(
+        self, benchmark: Benchmark, indices: range
+    ) -> Iterator[tuple[int, Executable]]:
+        """Build the layouts *indices* batch by batch, in order.
+
+        Each batch holds as many layouts as the machine simulates in
+        one go (:meth:`XeonE5440.prepare`), so every later
+        :meth:`observe_one` measures a layout whose counts are ready.
+        """
+        step = self.machine.layouts_per_batch(benchmark.trace(self.trace_events))
+        for first in range(indices.start, indices.stop, step):
+            batch = range(first, min(first + step, indices.stop))
+            executables = [self.build_executable(benchmark, i) for i in batch]
+            self.machine.prepare(executables)
+            yield from zip(batch, executables)
+            del executables  # drop the batch before building the next
 
     def observe(
         self,
@@ -125,8 +149,9 @@ class Interferometer:
         if n_layouts <= 0:
             raise ConfigurationError(f"n_layouts must be positive, got {n_layouts}")
         observations = ObservationSet(benchmark=benchmark.name)
-        for i in range(start_index, start_index + n_layouts):
-            observations.append(self.observe_one(benchmark, i))
+        indices = range(start_index, start_index + n_layouts)
+        for i, executable in self._prepared(benchmark, indices):
+            observations.append(self.observe_one(benchmark, i, executable))
             if progress is not None:
                 progress(i - start_index + 1, n_layouts)
         return observations
@@ -147,8 +172,8 @@ class Interferometer:
         later layout is interrupted).
         """
         start = len(observations)
-        for i in range(start, start + n_more):
-            observations.append(self.observe_one(benchmark, i))
+        for i, executable in self._prepared(benchmark, range(start, start + n_more)):
+            observations.append(self.observe_one(benchmark, i, executable))
             if sink is not None:
                 sink(observations)
             if progress is not None:

@@ -12,15 +12,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro import units
 from repro.machine.config import XeonE5440Config
+from repro.program.tracegen import Trace
 from repro.toolchain.executable import Executable
+from repro.uarch import vector
 from repro.uarch.btb import BranchTargetBuffer
-from repro.uarch.caches import CacheHierarchy
+from repro.uarch.caches import CacheHierarchy, HierarchyCounts
 from repro.uarch.predictors.hybrid import HybridPredictor
 from repro.uarch.predictors.indirect import LastTargetPredictor
-from repro.uarch.vector import require_engine
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,29 @@ class StructuralCounts:
         return units.mpki(self.l2_misses, self.instructions)
 
 
+def _lane_accesses(trace: Trace) -> int:
+    """What one layout of *trace* adds to a layout-lanes call.
+
+    That is the longest of its LRU streams (instruction fetches, data
+    references, taken branches), counted against
+    :data:`~repro.uarch.vector.LANE_ACCESSES`.
+    """
+    return max(
+        int(trace.iacc_event.size),
+        int(trace.dacc_event.size),
+        int(np.count_nonzero(trace.outcomes)),
+        1,
+    )
+
+
 class XeonCoreModel:
     """One core's front-end and memory structures, with a result cache.
 
     Simulation is deterministic per executable fingerprint, so results
     are memoized (the paper likewise measures fixed counts per binary;
-    only cycles are noisy).
+    only cycles are noisy).  :meth:`execute_many` fills the memo for a
+    batch of layouts at once: their LRU structures (BTB, L1I, L1D, L2)
+    run as layout lanes of one kernel call each.
     """
 
     def __init__(self, config: XeonE5440Config, cache_entries: int = 4096) -> None:
@@ -83,6 +104,11 @@ class XeonCoreModel:
         self._cache: OrderedDict[str, StructuralCounts] = OrderedDict()
         self._cache_entries = cache_entries
 
+    @staticmethod
+    def layouts_per_batch(trace: Trace) -> int:
+        """How many layouts of *trace* one lanes call simulates together."""
+        return max(1, vector.LANE_ACCESSES // _lane_accesses(trace))
+
     def execute(
         self, executable: Executable, engine: str = "vector"
     ) -> StructuralCounts:
@@ -91,30 +117,19 @@ class XeonCoreModel:
         *engine* selects the simulation implementation for every
         structure (see :mod:`repro.uarch.vector`); both engines produce
         identical counts, so the memo cache is shared between them.
+        The vector engine is the one-layout case of :meth:`execute_many`.
         """
-        require_engine(engine)
-        key = executable.fingerprint
-        cached = self._cache.get(key)
+        vector.require_engine(engine)
+        if engine == "vector":
+            return self.execute_many([executable])[0]
+        cached = self._lookup(executable.fingerprint)
         if cached is not None:
-            self._cache.move_to_end(key)
             return cached
-
         trace = executable.trace
-        branch_addrs = executable.branch_address_stream()
-        outcomes = trace.outcomes
-        warmup = int(trace.n_events * self.config.warmup_fraction)
-        mispredicts = self._predictor.simulate(
-            branch_addrs, outcomes, warmup=warmup, engine=engine
-        )
+        warmup = self._warmup(trace)
         btb_misses = self._btb.simulate(
-            branch_addrs, outcomes, warmup=warmup, engine=engine
+            executable.branch_address_stream(), trace.outcomes, warmup=warmup, engine=engine
         )
-        if int(trace.targets.max(initial=-1)) >= 0:
-            indirect_mispredicts = self._target_predictor.simulate(
-                branch_addrs, trace.targets, warmup=warmup, engine=engine
-            )
-        else:
-            indirect_mispredicts = 0
         hierarchy = self._hierarchy.simulate(
             executable.ifetch_address_stream(),
             trace.iacc_event,
@@ -123,6 +138,95 @@ class XeonCoreModel:
             warmup_event=warmup,
             engine=engine,
         )
+        return self._finish(executable, warmup, btb_misses, hierarchy, engine)
+
+    def execute_many(self, executables: Sequence[Executable]) -> list[StructuralCounts]:
+        """Counts of every executable, simulating the unmemoized ones as lanes.
+
+        Executables not in the memo are grouped so each group's LRU
+        streams fit :data:`~repro.uarch.vector.LANE_ACCESSES`; within a
+        group the BTB, L1I and L1D each run all layouts in one kernel
+        call, then every layout's L2 fill stream is built from its own
+        L1 misses and the L2 runs as lanes too.  The direction and
+        indirect predictors run per layout.  Counts equal per-layout
+        :meth:`execute` exactly: lanes never share a set.
+        """
+        counts: dict[str, StructuralCounts] = {}
+        pending: dict[str, Executable] = {}
+        for executable in executables:
+            key = executable.fingerprint
+            cached = self._lookup(key)
+            if cached is None:
+                pending.setdefault(key, executable)
+            else:
+                counts[key] = cached
+        group: list[Executable] = []
+        used = 0
+        for executable in pending.values():
+            size = _lane_accesses(executable.trace)
+            if group and used + size > vector.LANE_ACCESSES:
+                counts.update(self._simulate_lanes(group))
+                group, used = [], 0
+            group.append(executable)
+            used += size
+        if group:
+            counts.update(self._simulate_lanes(group))
+        return [counts[executable.fingerprint] for executable in executables]
+
+    def _simulate_lanes(self, group: list[Executable]) -> dict[str, StructuralCounts]:
+        """Simulate one group of layouts, memoize and return their counts."""
+        traces = [executable.trace for executable in group]
+        warmups = [self._warmup(trace) for trace in traces]
+        btb_misses = self._btb.simulate_lanes(
+            [executable.branch_address_stream() for executable in group],
+            [trace.outcomes for trace in traces],
+            warmups,
+        )
+        hierarchies = self._hierarchy.simulate_lanes(
+            [executable.ifetch_address_stream() for executable in group],
+            [trace.iacc_event for trace in traces],
+            [executable.data_address_stream() for executable in group],
+            [trace.dacc_event for trace in traces],
+            warmups,
+        )
+        return {
+            executable.fingerprint: self._finish(
+                executable, warmup, btb, hierarchy, "vector"
+            )
+            for executable, warmup, btb, hierarchy in zip(
+                group, warmups, btb_misses, hierarchies
+            )
+        }
+
+    def _warmup(self, trace: Trace) -> int:
+        return int(trace.n_events * self.config.warmup_fraction)
+
+    def _lookup(self, key: str) -> StructuralCounts | None:
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache.move_to_end(key)
+        return cached
+
+    def _finish(
+        self,
+        executable: Executable,
+        warmup: int,
+        btb_misses: int,
+        hierarchy: HierarchyCounts,
+        engine: str,
+    ) -> StructuralCounts:
+        """Run the per-layout predictors, assemble and memoize the counts."""
+        trace = executable.trace
+        branch_addrs = executable.branch_address_stream()
+        mispredicts = self._predictor.simulate(
+            branch_addrs, trace.outcomes, warmup=warmup, engine=engine
+        )
+        if int(trace.targets.max(initial=-1)) >= 0:
+            indirect_mispredicts = self._target_predictor.simulate(
+                branch_addrs, trace.targets, warmup=warmup, engine=engine
+            )
+        else:
+            indirect_mispredicts = 0
         counts = StructuralCounts(
             instructions=trace.total_instructions - trace.instructions_up_to(warmup),
             branches=trace.n_events - warmup,
@@ -135,7 +239,7 @@ class XeonCoreModel:
             l1d_misses=hierarchy.l1d_misses,
             l2_misses=hierarchy.l2_misses,
         )
-        self._cache[key] = counts
+        self._cache[executable.fingerprint] = counts
         if len(self._cache) > self._cache_entries:
             self._cache.popitem(last=False)
         return counts

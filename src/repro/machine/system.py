@@ -17,6 +17,7 @@ from repro.machine.config import XeonE5440Config
 from repro.machine.core_model import StructuralCounts, XeonCoreModel
 from repro.machine.counters import Counter
 from repro.machine.timing import cycles_for_run, jittered_count
+from repro.program.tracegen import Trace
 from repro.toolchain.executable import Executable
 
 #: The Xeon allows "up to two user-defined microarchitectural events to
@@ -41,6 +42,21 @@ class XeonE5440:
         self.config = config if config is not None else XeonE5440Config()
         self.seed = seed
         self._core_model = XeonCoreModel(self.config)
+
+    def layouts_per_batch(self, trace: Trace) -> int:
+        """How many layouts of *trace* one :meth:`prepare` call should carry."""
+        return self._core_model.layouts_per_batch(trace)
+
+    def prepare(self, executables: Sequence[Executable]) -> None:
+        """Simulate a batch of layouts ahead of their runs.
+
+        The core model computes the deterministic counts of the whole
+        batch together (as layout lanes) and memoizes them, so each
+        later :meth:`run_once` of these executables only adds timing
+        and noise.  Nothing is returned: counts are still read only
+        through counters.
+        """
+        self._core_model.execute_many(executables)
 
     @property
     def n_cores(self) -> int:

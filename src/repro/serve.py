@@ -67,6 +67,20 @@ _EXIT_PARTIAL = 1
 #: Latency samples kept for percentile estimates (bounded by design).
 _LATENCY_WINDOW = 4096
 
+#: Seconds a connection has to deliver its whole request head (request
+#: line and headers).  An idle or trickling client gets 408 and is
+#: closed, so no connection holds the server forever.
+HEAD_DEADLINE_SECONDS = 10.0
+
+#: Header lines accepted per request; more get 431.
+MAX_HEADERS = 100
+
+_HEAD_ERRORS = {
+    "408 Request Timeout": "request head not received in time\n",
+    "414 URI Too Long": "request line too long\n",
+    "431 Request Header Fields Too Large": "request header too long or too many headers\n",
+}
+
 
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile of a non-empty sorted sample list."""
@@ -325,6 +339,49 @@ class CampaignService:
             self._executor.shutdown(wait=True)
 
 
+class _RequestHead:
+    """A request head as far as it has been read.
+
+    :meth:`read` fills it in place, so a caller that times the read
+    out still sees how far it got (e.g. that the header count was
+    already exceeded).
+    """
+
+    __slots__ = ("line", "error", "headers")
+
+    def __init__(self) -> None:
+        self.line = b""
+        self.error: str | None = None
+        self.headers = 0
+
+    async def read(self, reader) -> None:
+        """Read the request line and headers up to the blank line.
+
+        A line longer than the reader's limit raises ValueError (the
+        stream drops what it buffered), and more than
+        :data:`MAX_HEADERS` header lines is an error too; either way
+        the rest of the head is still read (the caller's deadline
+        bounds it), so the error answer is not lost to a reset.
+        Headers are only counted, never kept.
+        """
+        too_large = "431 Request Header Fields Too Large"
+        try:
+            self.line = await reader.readline()
+        except ValueError:
+            self.error = "414 URI Too Long"
+        while True:
+            try:
+                header = await reader.readline()
+            except ValueError:
+                self.error = self.error or too_large
+                continue
+            if header in (b"\r\n", b"\n", b""):
+                return
+            self.headers += 1
+            if self.headers > MAX_HEADERS:
+                self.error = self.error or too_large
+
+
 class CampaignServer:
     """Minimal asyncio-streams HTTP front end over a campaign service."""
 
@@ -381,26 +438,15 @@ class CampaignServer:
 
     async def _handle_client(self, reader, writer) -> None:
         try:
-            # A line longer than the reader's limit raises ValueError
-            # (the stream drops what it buffered); the rest of the head
-            # is still read, so the error answer is not lost to a reset.
-            too_long = None
+            head = _RequestHead()
             try:
-                request_line = await reader.readline()
-            except ValueError:
-                request_line, too_long = b"", "414 URI Too Long"
-            while True:
-                try:
-                    header = await reader.readline()
-                except ValueError:
-                    too_long = too_long or "431 Request Header Fields Too Large"
-                    continue
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if too_long is None:
-                status, body, content_type = await self._respond(request_line)
+                await asyncio.wait_for(head.read(reader), HEAD_DEADLINE_SECONDS)
+            except asyncio.TimeoutError:
+                head.error = head.error or "408 Request Timeout"
+            if head.error is None:
+                status, body, content_type = await self._respond(head.line)
             else:
-                status, body = too_long, "request line or header too long\n"
+                status, body = head.error, _HEAD_ERRORS[head.error]
                 content_type = "text/plain"
             payload = body.encode()
             writer.write(

@@ -109,6 +109,24 @@ class Camino:
         self.alignment = alignment
         self.run_limit = run_limit if run_limit is not None else RunLimitPass()
         self._sequential = SequentialAllocator()
+        self._last_bound: tuple[Trace, Trace] | None = None
+
+    def _bound_trace(self, trace: Trace) -> Trace:
+        """*trace* cut where the run-limit pass stops every run.
+
+        All layouts of a benchmark bind the same canonical trace, so
+        the result is memoized for the most recent trace: the pass runs
+        once per trace and its layouts share one bound trace instead of
+        a copy each.  A different trace replaces the entry, so no old
+        trace stays pinned.
+        """
+        last = self._last_bound
+        if last is not None and last[0] is trace:
+            return last[1]
+        limit = self.run_limit.choose_limit(trace)
+        bound = trace.truncated(limit) if limit < trace.n_events else trace
+        self._last_bound = (trace, bound)
+        return bound
 
     def base_object_files(self, spec: ProgramSpec) -> list[ObjectFile]:
         """The unperturbed compilation result: one object file per source
@@ -163,14 +181,9 @@ class Camino:
         else:
             allocator = heap_allocator if heap_allocator is not None else DieHardAllocator()
             data_layout = allocator.allocate(spec, heap_seed)
-        bound_trace = trace
-        if apply_run_limit:
-            limit = self.run_limit.choose_limit(trace)
-            if limit < trace.n_events:
-                bound_trace = trace.truncated(limit)
         return Executable(
             spec=spec,
-            trace=bound_trace,
+            trace=self._bound_trace(trace) if apply_run_limit else trace,
             code_layout=code_layout,
             data_layout=data_layout,
             layout_seed=-1 if layout_seed is None else layout_seed,
@@ -198,14 +211,9 @@ class Camino:
             data_layout = self._sequential.allocate(spec)
         else:
             data_layout = DieHardAllocator().allocate(spec, heap_seed)
-        bound_trace = trace
-        if apply_run_limit:
-            limit = self.run_limit.choose_limit(trace)
-            if limit < trace.n_events:
-                bound_trace = trace.truncated(limit)
         return Executable(
             spec=spec,
-            trace=bound_trace,
+            trace=self._bound_trace(trace) if apply_run_limit else trace,
             code_layout=code_layout,
             data_layout=data_layout,
             layout_seed=-2,

@@ -10,14 +10,16 @@ per BTB miss.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.uarch import vector
-from repro.uarch.caches import lru_access
+from repro.uarch.caches import LazyLruSets, lru_access
 
 
-class BranchTargetBuffer:
+class BranchTargetBuffer(LazyLruSets):
     """Set-associative, LRU, tag-matched BTB counting taken-branch misses."""
 
     def __init__(self, entries: int = 2048, associativity: int = 4, name: str = "btb") -> None:
@@ -31,12 +33,8 @@ class BranchTargetBuffer:
         self.associativity = associativity
         self.n_sets = entries // associativity
         self.name = name
-        self._sets: list[list[int]] = []
+        self._n_sets = self.n_sets
         self.reset()
-
-    def reset(self) -> None:
-        """Empty the buffer."""
-        self._sets = [[] for _ in range(self.n_sets)]
 
     def lookup_and_update(self, pc: int, taken: int) -> bool:
         """Access the BTB for the branch at *pc*.
@@ -63,13 +61,14 @@ class BranchTargetBuffer:
         Misses are counted only for events with index >= *warmup*; the
         warm-up region still trains the buffer.  *engine* selects the
         implementation (the LRU kernel or the per-event
-        :meth:`lookup_and_update` oracle loop), never the count.
+        :meth:`lookup_and_update` oracle loop), never the count; the
+        vector engine is the one-lane case of :meth:`simulate_lanes`.
         """
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
         vector.require_engine(engine)
-        self.reset()
         if engine == "scalar":
+            if warmup < 0:
+                raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
+            self.reset()
             lookup = self.lookup_and_update
             misses = 0
             for i, (pc, taken) in enumerate(
@@ -78,16 +77,31 @@ class BranchTargetBuffer:
                 if lookup(pc, taken) and i >= warmup:
                     misses += 1
             return misses
-        taken_events = np.nonzero(outcomes != 0)[0]
-        pcs = addresses[taken_events] >> 2
-        tag_shift = self.n_sets.bit_length() - 1
-        state = vector.LruState(self.n_sets, self.associativity)
-        n = int(taken_events.size)
-        miss = np.zeros(n, dtype=bool)
-        for start, stop in vector.iter_chunks(n):
-            chunk = pcs[start:stop]
-            miss[start:stop] = vector.lru_scan(
-                state, chunk & (self.n_sets - 1), chunk >> tag_shift
-            )
-        self._sets = state.to_ways_lists()
-        return int(np.count_nonzero(miss & (taken_events >= warmup)))
+        return self.simulate_lanes([addresses], [outcomes], [warmup])[0]
+
+    def simulate_lanes(
+        self,
+        addresses: Sequence[np.ndarray],
+        outcomes: Sequence[np.ndarray],
+        warmups: Sequence[int],
+    ) -> list[int]:
+        """:meth:`simulate` for several layouts at once, one lane each.
+
+        Only taken branches touch the buffer, so each lane's stream is
+        its taken branches' pcs; all lanes share one LRU kernel call.
+        """
+        if any(warmup < 0 for warmup in warmups):
+            raise ConfigurationError(f"warmup must be >= 0, got {min(warmups)}")
+        self.reset()
+        taken = [np.flatnonzero(lane_outcomes) for lane_outcomes in outcomes]
+        masks, self._lru = vector.lru_lanes(
+            [pcs[events] for pcs, events in zip(addresses, taken)],
+            2,
+            self.n_sets,
+            self.associativity,
+        )
+        # Taken-event indices are sorted: the window starts at a search.
+        return [
+            int(np.count_nonzero(mask[np.searchsorted(events, warmup) :]))
+            for mask, events, warmup in zip(masks, taken, warmups)
+        ]

@@ -11,6 +11,7 @@ blame analysis (§6.1) and the heap-randomization cache study (Fig. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -76,7 +77,36 @@ class CacheConfig:
         return self.block_bytes.bit_length() - 1
 
 
-class SetAssociativeCache:
+class LazyLruSets:
+    """The ``_sets`` way lists of an LRU structure, built on first read.
+
+    The scalar engine works on ``_sets``: one MRU-first tag list per
+    set.  A bulk run keeps the kernel's
+    :class:`~repro.uarch.vector.LruState` instead and turns it into
+    lists only when something reads ``_sets`` (the scalar path or a
+    post-state check).  After a lanes run it lists lane 0's sets, then
+    lane 1's.  Subclasses set ``_n_sets`` before calling :meth:`reset`.
+    """
+
+    _n_sets: int
+
+    def reset(self) -> None:
+        """Empty every set."""
+        self._ways: list[list[int]] | None = None
+        self._lru: vector.LruState | None = None
+
+    @property
+    def _sets(self) -> list[list[int]]:
+        if self._ways is None:
+            if self._lru is None:
+                self._ways = [[] for _ in range(self._n_sets)]
+            else:
+                self._ways = self._lru.to_ways_lists()
+                self._lru = None
+        return self._ways
+
+
+class SetAssociativeCache(LazyLruSets):
     """A single cache level with true-LRU replacement.
 
     The cache is stateful across :meth:`access` calls; :meth:`reset`
@@ -84,17 +114,15 @@ class SetAssociativeCache:
     resets first and returns a per-access miss mask computed either by
     the :mod:`repro.uarch.vector` LRU kernel (``engine="vector"``) or
     by the per-access :meth:`access` oracle loop (``engine="scalar"``);
-    both produce identical masks.
+    both produce identical masks.  :meth:`simulate_lanes` runs several
+    independent streams (one per layout) through the same kernel at
+    once; a single stream is its one-lane case.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: list[list[int]] = []
+        self._n_sets = config.n_sets
         self.reset()
-
-    def reset(self) -> None:
-        """Empty every set."""
-        self._sets = [[] for _ in range(self.config.n_sets)]
 
     def access(self, address: int) -> bool:
         """Access one address; return True on a miss."""
@@ -108,25 +136,24 @@ class SetAssociativeCache:
     ) -> np.ndarray:
         """Reset, stream *addresses* through the cache, return miss mask."""
         vector.require_engine(engine)
-        self.reset()
-        n = int(addresses.size)
-        misses = np.zeros(n, dtype=bool)
         if engine == "scalar":
+            self.reset()
+            misses = np.zeros(int(addresses.size), dtype=bool)
             access = self.access
             for i, address in enumerate(addresses.tolist()):
                 if access(address):
                     misses[i] = True
             return misses
+        return self.simulate_lanes([addresses])[0]
+
+    def simulate_lanes(self, address_streams: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Miss masks of cold runs over each stream, one layout lane each."""
         config = self.config
-        set_shift = config.n_sets.bit_length() - 1
-        state = vector.LruState(config.n_sets, config.associativity)
-        for start, stop in vector.iter_chunks(n):
-            blocks = addresses[start:stop] >> config.block_shift
-            misses[start:stop] = vector.lru_scan(
-                state, blocks & (config.n_sets - 1), blocks >> set_shift
-            )
-        self._sets = state.to_ways_lists()
-        return misses
+        self.reset()
+        masks, self._lru = vector.lru_lanes(
+            address_streams, config.block_shift, config.n_sets, config.associativity
+        )
+        return masks
 
     def simulate(self, addresses: np.ndarray, engine: str = "vector") -> int:
         """Reset and stream; return the miss count."""
@@ -143,6 +170,49 @@ class HierarchyCounts:
     l1d_misses: int
     l2_accesses: int
     l2_misses: int
+
+
+def _l2_fills(
+    ifetch: np.ndarray,
+    ifetch_events: np.ndarray,
+    i_miss: np.ndarray,
+    data: np.ndarray,
+    data_events: np.ndarray,
+    d_miss: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """L1 misses as the L2's access stream: addresses and their events.
+
+    Fills are ordered by (event, fetch-before-data).
+    """
+    i_ev = ifetch_events[i_miss].astype(np.int64)
+    d_ev = data_events[d_miss].astype(np.int64)
+    merged_addr = np.concatenate([ifetch[i_miss], data[d_miss]])
+    merged_ev = np.concatenate([i_ev, d_ev])
+    order = np.argsort(np.concatenate([i_ev * 2, d_ev * 2 + 1]), kind="stable")
+    return merged_addr[order], merged_ev[order]
+
+
+def _window_counts(
+    ifetch_events: np.ndarray,
+    i_miss: np.ndarray,
+    data_events: np.ndarray,
+    d_miss: np.ndarray,
+    l2_events: np.ndarray,
+    l2_miss: np.ndarray,
+    warmup_event: int,
+) -> HierarchyCounts:
+    """Accesses and misses of events at or past *warmup_event*."""
+    i_window = ifetch_events >= warmup_event
+    d_window = data_events >= warmup_event
+    l2_window = l2_events >= warmup_event
+    return HierarchyCounts(
+        l1i_accesses=int(np.count_nonzero(i_window)),
+        l1i_misses=int(np.count_nonzero(i_miss & i_window)),
+        l1d_accesses=int(np.count_nonzero(d_window)),
+        l1d_misses=int(np.count_nonzero(d_miss & d_window)),
+        l2_accesses=int(np.count_nonzero(l2_window)),
+        l2_misses=int(np.count_nonzero(l2_miss & l2_window)),
+    )
 
 
 class CacheHierarchy:
@@ -174,33 +244,60 @@ class CacheHierarchy:
         index >= *warmup_event* — the same measurement window the
         predictors use.  *engine* selects the per-level simulation
         implementation (see :meth:`SetAssociativeCache.simulate_mask`),
-        never the counts.
+        never the counts; the vector engine is the one-lane case of
+        :meth:`simulate_lanes`.
         """
+        vector.require_engine(engine)
+        if engine == "vector":
+            return self.simulate_lanes(
+                [ifetch_addresses], [ifetch_events],
+                [data_addresses], [data_events], [warmup_event],
+            )[0]
         i_miss = self.l1i.simulate_mask(ifetch_addresses, engine=engine)
         d_miss = self.l1d.simulate_mask(data_addresses, engine=engine)
-        i_addr = ifetch_addresses[i_miss]
-        d_addr = data_addresses[d_miss]
-        # Order L2 fills by (event, fetch-before-data).
-        i_ev = ifetch_events[i_miss].astype(np.int64)
-        d_ev = data_events[d_miss].astype(np.int64)
-        merged_addr = np.concatenate([i_addr, d_addr])
-        merged_ev = np.concatenate([i_ev, d_ev])
-        merged_key = np.concatenate([i_ev * 2, d_ev * 2 + 1])
-        order = np.argsort(merged_key, kind="stable")
-        l2_stream = merged_addr[order]
-        l2_events = merged_ev[order]
-        l2_miss = self.l2.simulate_mask(l2_stream, engine=engine)
-        i_window = ifetch_events >= warmup_event
-        d_window = data_events >= warmup_event
-        l2_window = l2_events >= warmup_event
-        return HierarchyCounts(
-            l1i_accesses=int(np.count_nonzero(i_window)),
-            l1i_misses=int(np.count_nonzero(i_miss & i_window)),
-            l1d_accesses=int(np.count_nonzero(d_window)),
-            l1d_misses=int(np.count_nonzero(d_miss & d_window)),
-            l2_accesses=int(np.count_nonzero(l2_window)),
-            l2_misses=int(np.count_nonzero(l2_miss & l2_window)),
+        l2_stream, l2_events = _l2_fills(
+            ifetch_addresses, ifetch_events, i_miss, data_addresses, data_events, d_miss
         )
+        l2_miss = self.l2.simulate_mask(l2_stream, engine=engine)
+        return _window_counts(
+            ifetch_events, i_miss, data_events, d_miss, l2_events, l2_miss, warmup_event
+        )
+
+    def simulate_lanes(
+        self,
+        ifetch_addresses: Sequence[np.ndarray],
+        ifetch_events: Sequence[np.ndarray],
+        data_addresses: Sequence[np.ndarray],
+        data_events: Sequence[np.ndarray],
+        warmup_events: Sequence[int],
+    ) -> list[HierarchyCounts]:
+        """:meth:`simulate` for several layouts at once, one lane each.
+
+        Each level runs all lanes in one
+        :meth:`SetAssociativeCache.simulate_lanes` call; every lane's
+        L2 stream is built from its own L1 misses first.
+        """
+        i_miss = self.l1i.simulate_lanes(ifetch_addresses)
+        d_miss = self.l1d.simulate_lanes(data_addresses)
+        fills = [
+            _l2_fills(*lane)
+            for lane in zip(
+                ifetch_addresses, ifetch_events, i_miss, data_addresses, data_events, d_miss
+            )
+        ]
+        l2_miss = self.l2.simulate_lanes([stream for stream, _ in fills])
+        return [
+            _window_counts(*lane)
+            for lane in zip(
+                ifetch_events,
+                i_miss,
+                data_events,
+                d_miss,
+                [events for _, events in fills],
+                l2_miss,
+                warmup_events,
+            )
+        ]
 
 
 def _skew_hash(block: int, way: int, n_sets: int) -> int:

@@ -35,10 +35,16 @@ LRU state (caches, BTB) is *not* a pure function of past accesses with
 any algebraic shortcut we know, so :func:`lru_scan` keeps the
 recurrence but runs it set-parallel: accesses are grouped into rounds
 by their position within their set, and each round updates every
-active set at once on tag/age matrices.  Consecutive same-block
-accesses to a set are guaranteed MRU hits with no state change and are
-condensed away first — sequential fetch streams shrink by an order of
-magnitude.
+active set at once on a matrix of MRU-ordered tag rows.  Consecutive
+same-block accesses to a set are guaranteed MRU hits with no state
+change and are condensed away first — sequential fetch streams shrink
+by an order of magnitude.  The round count is set by the busiest set,
+not by the number of sets, so :func:`lru_lanes` stacks the streams of
+several layouts (*layout lanes*: lane ``k`` owns sets ``k * n_sets``
+onwards) into one scan; a single stream is the one-lane case.  Lanes
+are exact because they never share a set and the scan keeps each
+set's accesses in stream order.  :data:`LANE_ACCESSES` sizes a lanes
+call to bound its memory.
 
 All kernels carry state across :data:`CHUNK_EVENTS`-sized chunks so
 memory stays bounded on long traces.
@@ -46,7 +52,7 @@ memory stays bounded on long traces.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -504,96 +510,236 @@ def local_history_scan(
     return out
 
 
-class LruState:
-    """Tag/age matrices holding a bank of true-LRU sets.
+def _index_dtype(bound: int) -> type:
+    """Narrowest signed integer type holding every value in ``[-1, bound)``."""
+    if bound <= 1 << 15:
+        return np.int16
+    if bound <= 1 << 31:
+        return np.int32
+    return np.int64
 
-    Ages within a set are always a permutation of ``0..ways-1`` (0 is
-    the MRU way); empty ways hold tag -1 and, by construction, always
-    occupy the oldest ages, so victim selection fills empty ways first
-    exactly like the scalar insert-then-evict list discipline.
+
+def lean_tag_dtype(max_tag: int) -> type:
+    """Tag storage type: int32 while every tag fits, int64 beyond.
+
+    Tags are non-negative (-1 marks an empty way), so int32 holds any
+    tag below ``2**31``.
+    """
+    return np.int32 if max_tag < (1 << 31) else np.int64
+
+
+class LruState:
+    """A bank of true-LRU sets: one row per set, ways in MRU-first order.
+
+    Row ``s`` holds set ``s``'s tags from most to least recently used.
+    Empty ways hold -1 and always sit at the LRU end, so a row read up
+    to its first -1 is exactly the scalar engine's way list.  Tags are
+    stored as int32 until a tag needs more bits (:meth:`widen`).
     """
 
-    __slots__ = ("tags", "ages")
+    __slots__ = ("tags",)
 
     def __init__(self, n_sets: int, associativity: int) -> None:
-        self.tags = np.full((n_sets, associativity), -1, dtype=np.int64)
-        self.ages = np.tile(
-            np.arange(associativity, dtype=np.int64), (n_sets, 1)
-        )
+        self.tags = np.full((n_sets, associativity), -1, dtype=np.int32)
+
+    def widen(self, dtype: type) -> None:
+        """Store tags as *dtype* if it is wider than the current type."""
+        if np.dtype(dtype).itemsize > self.tags.dtype.itemsize:
+            self.tags = self.tags.astype(dtype)
 
     def to_ways_lists(self) -> list[list[int]]:
         """MRU-first way lists, matching the scalar representation."""
-        order = np.argsort(self.ages, axis=1, kind="stable")
-        ordered = np.take_along_axis(self.tags, order, axis=1)
-        return [[int(tag) for tag in row if tag >= 0] for row in ordered]
+        return [[tag for tag in row if tag >= 0] for row in self.tags.tolist()]
+
+
+def _set_positions(sorted_sets: np.ndarray, dtype: type) -> np.ndarray:
+    """Each access's rank within its set, for set-sorted accesses."""
+    n = int(sorted_sets.size)
+    seg_first = np.empty(n, dtype=bool)
+    seg_first[0] = True
+    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=seg_first[1:])
+    arange = np.arange(n, dtype=dtype)
+    return arange - np.maximum.accumulate(np.where(seg_first, arange, 0))
+
+
+def _drop_certain_hits(
+    origin: np.ndarray, sets: np.ndarray, tags: np.ndarray, ways: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the accesses whose hit and effect need no simulation.
+
+    Inputs are in set-sorted stream order with MRU repeats removed.
+    An access is *near* when its tag was used within the previous
+    *ways* accesses of its set: at most ``ways - 1`` distinct tags lie
+    between, so it hits.  Each set starts with a far access, and a far
+    access plus the near accesses after it (its *run*) leave the set
+    with the run's tags in front, ordered by their last use, and the
+    other ways in their old order.  Replaying only the far access and
+    the last use of each tag in the run gives the same set, so a near
+    access whose tag recurs later in its run is dropped: its miss bit
+    stays False.  A recurrence in the same run is itself near, so it
+    lies within *ways* positions.
+    """
+    n = int(origin.size)
+    position = _set_positions(sets, origin.dtype)
+    near = np.zeros(n, dtype=bool)
+    recurs = []
+    for d in range(2, ways + 1):  # distance 1 is an MRU repeat, gone
+        same = tags[d:] == tags[:-d]
+        same &= position[d:] >= d
+        near[d:] |= same
+        recurs.append(same)
+    run = np.cumsum(~near, dtype=origin.dtype)
+    recurs_later = np.zeros(n, dtype=bool)
+    for d, same in enumerate(recurs, start=2):
+        same &= run[d:] == run[:-d]
+        recurs_later[:-d] |= same
+    del recurs, run, position
+    near &= recurs_later
+    replay = np.logical_not(near, out=near)
+    return origin[replay], sets[replay], tags[replay]
 
 
 def lru_scan(state: LruState, set_ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Stream ``(set, tag)`` accesses through an LRU bank; miss mask.
 
-    Accesses are grouped into rounds by position within their set; a
-    round touches each set at most once, so every active set updates
-    in parallel.  An access repeating its set's previous tag is a
-    guaranteed MRU hit with no state change and is skipped outright.
+    Accesses are grouped into rounds by their position within their
+    set; a round touches each set at most once, so every active set
+    updates at once.  An access repeating its set's previous tag is a
+    guaranteed MRU hit with no state change and is dropped first, and
+    so are the hits :func:`_drop_certain_hits` proves need no replay.
+    The loop runs once per round, and the round count is the access
+    count of the busiest set: it barely grows with the number of sets,
+    which is what makes :func:`lru_lanes` pay.
+
+    The touched sets are copied out in order of decreasing access
+    count, so round ``r``'s sets are exactly a prefix of that working
+    copy and each round updates a contiguous view, with no gather or
+    scatter.  Index arrays stay narrow (int16/int32 set ids and
+    orders, int32 tags while they fit) and temporaries are released
+    once consumed: peak memory is about 20 bytes per access.
     """
     n = int(set_ids.size)
     miss = np.zeros(n, dtype=bool)
     if n == 0:
         return miss
-    by_set = np.argsort(set_ids.astype(np.int32), kind="stable")
-    dup_sorted = np.zeros(n, dtype=bool)
-    dup_sorted[1:] = (set_ids[by_set][1:] == set_ids[by_set][:-1]) & (
-        tags[by_set][1:] == tags[by_set][:-1]
-    )
-    dup = np.empty(n, dtype=bool)
-    dup[by_set] = dup_sorted
-    kept = np.nonzero(~dup)[0]
-    m = int(kept.size)
-    if m == 0:
-        return miss
-    sets = set_ids[kept]
-    tag = tags[kept]
-
-    by_set = np.argsort(sets.astype(np.int32), kind="stable")
-    seg_first = np.empty(m, dtype=bool)
-    seg_first[0] = True
+    state.widen(lean_tag_dtype(int(tags.max())))
+    table = state.tags
+    rows, ways = table.shape
+    sets = set_ids.astype(_index_dtype(rows), copy=False)
+    tags = tags.astype(table.dtype, copy=False)
+    order_type = np.int32 if n <= 1 << 31 else np.int64
+    by_set = np.argsort(sets, kind="stable").astype(order_type)
     sorted_sets = sets[by_set]
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=seg_first[1:])
-    arange = np.arange(m, dtype=np.int64)
-    position_sorted = arange - np.maximum.accumulate(np.where(seg_first, arange, 0))
-    position = np.empty(m, dtype=np.int64)
-    position[by_set] = position_sorted
+    sorted_tags = tags[by_set]
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=keep[1:])
+    keep[1:] |= sorted_tags[1:] != sorted_tags[:-1]
+    origin = by_set[keep]
+    sorted_sets = sorted_sets[keep]
+    sorted_tags = sorted_tags[keep]
+    del by_set, keep
+    origin, sorted_sets, sorted_tags = _drop_certain_hits(
+        origin, sorted_sets, sorted_tags, ways
+    )
+    m = int(origin.size)
 
-    round_order = np.argsort(position, kind="stable")
-    round_sets = sets[round_order]
-    round_tags = tag[round_order]
-    round_pos = position[round_order]
-    bounds = np.searchsorted(round_pos, np.arange(int(round_pos[-1]) + 2))
-    tag_table = state.tags
-    age_table = state.ages
-    round_miss = np.empty(m, dtype=bool)
-    # Round 0 is the widest round; later rounds slice a prefix view.
-    all_lanes = np.arange(int(bounds[1]) - int(bounds[0]))
-    for r in range(bounds.size - 1):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        if lo == hi:
-            continue
-        active = round_sets[lo:hi]
+    # Rank the sets by decreasing access count; an access at position
+    # r of the set ranked q lands at slot bounds[r] + q of its round.
+    position = _set_positions(sorted_sets, order_type)
+    by_count = np.argsort(-np.bincount(sorted_sets, minlength=rows), kind="stable")
+    rank = np.empty(rows, dtype=order_type)
+    rank[by_count] = np.arange(rows, dtype=order_type)
+    widths = np.bincount(position)
+    bounds = np.zeros(widths.size + 1, dtype=order_type)
+    np.cumsum(widths, out=bounds[1:])
+    slot = bounds[position]
+    slot += rank[sorted_sets]
+    del position, sorted_sets
+    round_tags = np.empty(m, dtype=table.dtype)
+    round_tags[slot] = sorted_tags
+    round_origin = np.empty(m, dtype=order_type)
+    round_origin[slot] = origin
+    del slot, sorted_tags, origin
+
+    # A hit at way w moves ways 0..w-1 one step towards LRU and puts the
+    # tag in front; a miss does the same with w = ways (the LRU way
+    # falls off).  The probe's extra always-true column makes argmax
+    # return w = ways exactly when no way matches.
+    touched = by_count[: int(widths[0])]
+    work = table[touched]
+    probe = np.ones((int(widths[0]), ways + 1), dtype=bool)
+    # shifts[w] marks the ways 1..ways-1 whose content comes from the
+    # way before them when the access lands at way w.
+    shifts = np.arange(1, ways) <= np.arange(ways + 1)[:, None]
+    found = np.empty(m, dtype=np.intp)
+    edges = bounds.tolist()
+    for r in range(widths.size):
+        lo, hi = edges[r], edges[r + 1]
+        width = hi - lo
+        live = work[:width]
         wanted = round_tags[lo:hi]
-        row_tags = tag_table[active]
-        row_ages = age_table[active]
-        match = row_tags == wanted[:, None]
-        hit = match.any(axis=1)
-        lanes = all_lanes[: hi - lo]
-        way = np.where(hit, match.argmax(axis=1), row_ages.argmax(axis=1))
-        selected_age = row_ages[lanes, way]
-        row_ages += row_ages < selected_age[:, None]
-        row_ages[lanes, way] = 0
-        row_tags[lanes, way] = wanted
-        tag_table[active] = row_tags
-        age_table[active] = row_ages
-        round_miss[lo:hi] = ~hit
-    kept_miss = np.empty(m, dtype=bool)
-    kept_miss[round_order] = round_miss
-    miss[kept] = kept_miss
+        match = probe[:width]
+        np.equal(live, wanted[:, None], out=match[:, :ways])
+        way = match.argmax(axis=1, out=found[lo:hi])
+        np.copyto(live[:, 1:], live[:, :-1], where=shifts.take(way, axis=0))
+        live[:, 0] = wanted
+    table[touched] = work
+    miss[round_origin] = found == ways
     return miss
+
+
+#: Accesses one layout-lanes call stacks: the sum, over its lanes, of
+#: each layout's longest LRU stream.  At the ``small`` scale (20 000
+#: branch events, ~25-38 k instruction fetches) that is 3-5 layouts.
+#: More lanes shorten the round loop further but raise peak memory.
+LANE_ACCESSES = 1 << 17
+
+
+def lru_lanes(
+    streams: Sequence[np.ndarray], shift: int, n_sets: int, associativity: int
+) -> tuple[list[np.ndarray], LruState]:
+    """Run one cold LRU bank per lane over that lane's access stream.
+
+    Lane ``k``'s access ``a`` touches block ``b = a >> shift``, which
+    maps to set ``b & (n_sets - 1)`` with tag ``b >> log2(n_sets)`` as
+    in a single cache; its set id is then offset by ``k * n_sets``, so
+    the lanes share one :func:`lru_scan` but never a set.  Because the
+    scan keeps each set's accesses in stream order, every lane's miss
+    mask equals that of a run over its stream alone.  A single stream
+    is the one-lane case.
+
+    Lanes advance through their streams in windows of equal length so
+    one scan sees at most :data:`CHUNK_EVENTS` accesses; the state is
+    carried between windows.  Set ids and tags are written straight
+    into narrow arrays.  Returns the per-lane miss masks and the final
+    state (lane ``k`` owns rows ``k * n_sets`` up to
+    ``(k + 1) * n_sets``).
+    """
+    lanes = len(streams)
+    state = LruState(lanes * n_sets, associativity)
+    masks = [np.zeros(int(stream.size), dtype=bool) for stream in streams]
+    longest = max((int(stream.size) for stream in streams), default=0)
+    tag_shift = shift + n_sets.bit_length() - 1
+    set_type = _index_dtype(lanes * n_sets)
+    for start, stop in iter_chunks(longest, max(1, CHUNK_EVENTS // lanes)):
+        parts = [stream[start:stop] for stream in streams]
+        ends = np.cumsum([part.size for part in parts])
+        top = max(int(part.max()) for part in parts if part.size)
+        set_ids = np.empty(int(ends[-1]), dtype=set_type)
+        tags = np.empty(int(ends[-1]), dtype=lean_tag_dtype(top >> tag_shift))
+        lane_sets = np.split(set_ids, ends[:-1])
+        lane_tags = np.split(tags, ends[:-1])
+        for lane in range(lanes):
+            # Narrowing keeps the low bits, so masking after the cast
+            # gives the same set index as masking before it.
+            np.right_shift(parts[lane], shift, out=lane_sets[lane], casting="unsafe")
+            lane_sets[lane] &= n_sets - 1
+            lane_sets[lane] += lane * n_sets
+            np.right_shift(
+                parts[lane], tag_shift, out=lane_tags[lane], casting="unsafe"
+            )
+        lane_miss = np.split(lru_scan(state, set_ids, tags), ends[:-1])
+        for lane in range(lanes):
+            masks[lane][start : start + parts[lane].size] = lane_miss[lane]
+    return masks, state

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino, RunLimitPass
+from repro.workloads.suite import get_benchmark
 
 from tests.conftest import make_tiny_spec
 
@@ -116,3 +121,58 @@ class TestBuild:
     def test_disable_run_limit(self, spec, tiny_trace, camino):
         exe = camino.build(spec, tiny_trace, layout_seed=1, apply_run_limit=False)
         assert exe.trace.n_events == tiny_trace.n_events
+
+
+class TestRunLimitMemo:
+    """Builds of one canonical trace share a single run-limited trace."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+        original = RunLimitPass.choose_limit
+
+        def counting(self, trace):
+            calls.append(trace.seed)  # not the trace: that would pin it
+            return original(self, trace)
+
+        monkeypatch.setattr(RunLimitPass, "choose_limit", counting)
+        return calls
+
+    def test_layouts_share_one_bound_trace(self, counted):
+        bm = get_benchmark("445.gobmk")
+        trace = generate_trace(bm.spec, seed=3, n_events=3000)
+        camino = Camino()
+        builds = [camino.build(bm.spec, trace, layout_seed=seed) for seed in range(4)]
+        builds.append(camino.build(bm.spec, trace, layout_seed=9, heap_seed=4))
+        assert builds[0].trace.n_events < trace.n_events  # the pass did cut
+        assert all(exe.trace is builds[0].trace for exe in builds)
+        assert counted == [3]
+
+    def test_new_trace_replaces_the_entry(self, counted):
+        bm = get_benchmark("445.gobmk")
+        camino = Camino()
+        first = generate_trace(bm.spec, seed=3, n_events=3000)
+        camino.build(bm.spec, first, layout_seed=1)
+        released = weakref.ref(first)
+        del first
+        second = generate_trace(bm.spec, seed=4, n_events=3000)
+        exe = camino.build(bm.spec, second, layout_seed=1)
+        gc.collect()
+        assert released() is None  # nothing pins the old trace
+        assert camino.build(bm.spec, second, layout_seed=2).trace is exe.trace
+        assert counted == [3, 4]
+
+    def test_fingerprints_and_instructions_unchanged(self):
+        """A shared bound trace equals one cut afresh for every layout."""
+        bm = get_benchmark("429.mcf")
+        trace = generate_trace(bm.spec, seed=7, n_events=3000)
+        shared = Camino()
+        for seed in range(3):
+            memoized = shared.build(bm.spec, trace, layout_seed=seed)
+            fresh = Camino().build(bm.spec, trace, layout_seed=seed)
+            limit = RunLimitPass().choose_limit(trace)
+            cut = trace.truncated(limit)
+            assert memoized.fingerprint == fresh.fingerprint
+            assert memoized.trace.n_events == cut.n_events == limit
+            for k in (0, 1, limit // 2, limit, limit + 5):
+                assert memoized.trace.instructions_up_to(k) == cut.instructions_up_to(k)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults
+from repro import faults, serve
 from repro.core.observations import ObservationSet
 from repro.errors import BackpressureError, ConfigurationError
 from repro.faults import FaultPlan
@@ -428,6 +428,67 @@ class TestHttpServer:
 
         raw, (health_status, _, _) = self.run_with_server(lab, body)
         assert status in raw.split(b"\r\n", 1)[0]
+        assert health_status == "200 OK"
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize("trickle", [False, True], ids=["idle", "trickling"])
+    def test_slow_head_gets_408_after_deadline(
+        self, lab, capfd, caplog, monkeypatch, trickle
+    ):
+        """A client that never finishes its head is answered and closed."""
+        monkeypatch.setattr(serve, "HEAD_DEADLINE_SECONDS", 0.3)
+
+        async def body(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            started = loop.time()
+            if trickle:
+                writer.write(b"GET /healthz HTTP/1.1\r\n")
+
+                async def drip():
+                    for i in range(1000):
+                        writer.write(b"X-Drip-%d: 1\r\n" % i)
+                        await asyncio.sleep(0.02)
+
+                dripping = asyncio.ensure_future(drip())
+            raw = await asyncio.wait_for(reader.read(), 10)
+            elapsed = loop.time() - started
+            if trickle:
+                dripping.cancel()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            return raw, elapsed
+
+        raw, elapsed = self.run_with_server(lab, body)
+        assert b"408" in raw.split(b"\r\n", 1)[0]
+        assert 0.25 <= elapsed < 5
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_too_many_headers_answer_431(self, lab, capfd, caplog):
+        """10 000 header lines, each short, exceed the header-count bound."""
+        head = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(10_000))
+            + b"\r\n"
+        )
+
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(head)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            healthy = await http_get(server.port, "/healthz")
+            return raw, healthy
+
+        raw, (health_status, _, _) = self.run_with_server(lab, body)
+        assert b"431" in raw.split(b"\r\n", 1)[0]
         assert health_status == "200 OK"
         assert "Traceback" not in capfd.readouterr().err
         assert not [r for r in caplog.records if r.levelname == "ERROR"]

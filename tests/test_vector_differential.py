@@ -12,18 +12,29 @@ branches at all.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.interferometer import Interferometer
 from repro.errors import ConfigurationError
+from repro.harness.lab import SCALES
 from repro.machine.config import XeonE5440Config
 from repro.machine.core_model import XeonCoreModel
+from repro.machine.system import XeonE5440
 from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino
+from repro.uarch import vector
 from repro.uarch.btb import BranchTargetBuffer
-from repro.uarch.caches import CacheConfig, CacheHierarchy, SetAssociativeCache
+from repro.uarch.caches import (
+    CacheConfig,
+    CacheHierarchy,
+    SetAssociativeCache,
+    lru_access,
+)
 from repro.uarch.predictors.agree import AgreePredictor
 from repro.uarch.predictors.bimodal import BimodalPredictor
 from repro.uarch.predictors.bimode import BiModePredictor
@@ -41,8 +52,10 @@ from repro.uarch.predictors.static import (
 )
 from repro.uarch.predictors.tage import LTagePredictor, TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
+from repro.workloads.suite import get_benchmark
 
 from tests.conftest import make_tiny_spec
+from tests.test_indirect import make_dispatch_spec
 
 # Small geometries on purpose: heavy aliasing exercises the carried
 # state of every kernel much harder than the production sizes do.
@@ -295,3 +308,109 @@ def test_core_model_engines_bit_identical():
         for engine in ("scalar", "vector")
     ]
     assert results[0] == results[1]
+
+
+# -- layout lanes ------------------------------------------------------
+
+
+def _lane_streams(seed: int, lengths: list[int], n_sets: int, ways: int, wide: bool):
+    """One access stream per lane, each reusing a small block pool.
+
+    A pool a little larger than the cache mixes hits, conflict misses
+    and MRU repeats; *wide* puts the blocks past 2**40 so 1-set tags
+    need int64.
+    """
+    rng = np.random.default_rng(seed)
+    streams = []
+    for n in lengths:
+        base = int(rng.integers(0, 1 << 20)) + ((1 << 40) if wide else 0)
+        pool = base + rng.integers(0, 64 * n_sets * (ways + 2), size=max(1, n // 3))
+        streams.append(pool[rng.integers(0, pool.size, size=n)].astype(np.int64))
+    return streams
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    lengths=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=5),
+    geometry=st.sampled_from([(1, 1), (1, 4), (4, 1), (8, 2), (16, 4)]),
+    wide=st.booleans(),
+    chunk=st.sampled_from([7, 64, vector.CHUNK_EVENTS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lru_lanes_match_per_lane_scalar(seed, lengths, geometry, wide, chunk):
+    """Each lane equals a cold scalar replay of its stream alone.
+
+    Lengths are ragged and may be 0; a small *chunk* makes the lanes
+    carry their state across several kernel windows.
+    """
+    n_sets, ways = geometry
+    shift = 6
+    streams = _lane_streams(seed, lengths, n_sets, ways, wide)
+    with mock.patch.object(vector, "CHUNK_EVENTS", chunk):
+        masks, state = vector.lru_lanes(streams, shift, n_sets, ways)
+    post = state.to_ways_lists()
+    tag_shift = shift + n_sets.bit_length() - 1
+    for lane, stream in enumerate(streams):
+        sets: list[list[int]] = [[] for _ in range(n_sets)]
+        expected = [
+            lru_access(sets[(address >> shift) & (n_sets - 1)], address >> tag_shift, ways)
+            for address in stream.tolist()
+        ]
+        assert masks[lane].tolist() == expected
+        assert post[lane * n_sets : (lane + 1) * n_sets] == sets
+
+
+def test_lean_tag_dtype_falls_back_to_int64():
+    """Tags past int32 widen the carried state instead of wrapping."""
+    assert vector.lean_tag_dtype((1 << 31) - 1) is np.int32
+    assert vector.lean_tag_dtype(1 << 31) is np.int64
+    state = vector.LruState(2, 2)
+    assert state.tags.dtype == np.int32
+    small = vector.lru_scan(state, np.array([0, 1]), np.array([5, 6]))
+    assert state.tags.dtype == np.int32
+    big = 1 << 40
+    miss = vector.lru_scan(state, np.array([0, 0, 0, 1]), np.array([big, 5, big, 6]))
+    assert state.tags.dtype == np.int64
+    assert small.tolist() == [True, True]
+    assert miss.tolist() == [True, False, False, False]
+    assert state.to_ways_lists() == [[big, 5], [6]]
+
+
+def _scalar_counts(executables):
+    model = XeonCoreModel(XeonE5440Config())
+    return [model.execute(executable, engine="scalar") for executable in executables]
+
+
+@pytest.mark.parametrize(
+    "name,randomize_heap",
+    [("445.gobmk", False), ("429.mcf", True)],
+    ids=["code-reordering", "heap-randomized"],
+)
+@pytest.mark.parametrize("budget", [vector.LANE_ACCESSES, 20_000], ids=["one-group", "groups"])
+def test_execute_many_matches_scalar_on_ci_layouts(name, randomize_heap, budget):
+    """Lanes counts equal the scalar oracle's, layout by layout.
+
+    The small budget splits the batch into several lanes calls; a
+    repeated executable is simulated once and answered twice.
+    """
+    scale = SCALES["ci"]
+    interferometer = Interferometer(
+        XeonE5440(), trace_events=scale.trace_events, randomize_heap=randomize_heap
+    )
+    benchmark = get_benchmark(name)
+    batch = [interferometer.build_executable(benchmark, i) for i in range(scale.n_layouts)]
+    batch.append(batch[0])
+    with mock.patch.object(vector, "LANE_ACCESSES", budget):
+        lanes = XeonCoreModel(XeonE5440Config()).execute_many(batch)
+    assert lanes == _scalar_counts(batch)
+
+
+def test_execute_many_matches_scalar_with_indirect_branches():
+    """An interpreter-shaped program exercises the indirect predictor."""
+    spec = make_dispatch_spec()
+    trace = generate_trace(spec, seed=5, n_events=3000)
+    camino = Camino()
+    batch = [camino.build(spec, trace, layout_seed=seed) for seed in range(6)]
+    lanes = XeonCoreModel(XeonE5440Config()).execute_many(batch)
+    assert any(counts.indirect_mispredicts for counts in lanes)
+    assert lanes == _scalar_counts(batch)
