@@ -10,8 +10,10 @@ all *reachability* properties, so this module extends the PR-4 call
 graph with an event-loop context model, the async sibling of
 :mod:`repro.lint.threadflow`:
 
-* :class:`AsyncFlowModel` labels every indexed function with the
-  contexts that can execute it: ``"loop"`` (reachable from
+* :class:`AsyncFlowModel` — the shared
+  :class:`~repro.lint.callgraph.ContextModel` skeleton with an asyncio
+  entry classifier — labels every indexed function with the contexts
+  that can execute it: ``"loop"`` (reachable from
   ``asyncio.run(...)``, task creation, ``start_server`` callbacks, or
   ``call_soon_threadsafe`` handoffs — all of which execute on the
   event-loop thread) and ``"executor"`` (reachable from a callable
@@ -53,20 +55,15 @@ from typing import Iterator
 from repro.lint.callgraph import (
     CallGraph,
     ClassInfo,
+    ContextModel,
     FunctionInfo,
     ModuleInfo,
     Program,
+    last_name,
+    named_args,
+    self_attr,
 )
-from repro.lint.dataflow import FunctionDataflow
-from repro.lint.threadflow import (
-    LOCK_NAME_RE,
-    _local_instance_class,
-    _resolve_callable,
-)
-
-#: The async execution contexts the model distinguishes.  "main" is
-#: implicit: a function in neither set never runs under the loop.
-CONTEXTS = ("loop", "executor")
+from repro.lint.threadflow import LOCK_NAME_RE
 
 #: Calls whose first argument is a coroutine (or coroutine call) that
 #: the event loop will execute.
@@ -152,16 +149,6 @@ QUEUE_NAME_RE = re.compile(r"(^|_)(queue|q)$")
 
 
 @dataclass(frozen=True)
-class AsyncEntry:
-    """One resolved async entry: context plus where it was bound."""
-
-    context: str  # "loop" | "executor"
-    qualname: str
-    rel: str
-    line: int
-
-
-@dataclass(frozen=True)
 class BlockingReason:
     """Why calling a function blocks the calling thread."""
 
@@ -177,15 +164,6 @@ class BlockingReason:
             return f"{self.what} ({self.where})"
         chain = " -> ".join(self.via)
         return f"{self.what} ({self.where}) via {chain}"
-
-
-def receiver_name(expr: ast.expr) -> str | None:
-    """Terminal identifier of a call receiver: ``self._lock`` -> ``_lock``."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
 
 
 def is_awaited(call: ast.Call) -> bool:
@@ -213,7 +191,7 @@ def blocking_call_reason(module: ModuleInfo, call: ast.Call) -> str | None:
             return f"builtin {func.id}()"
         return None
     if isinstance(func, ast.Attribute):
-        name = receiver_name(func.value)
+        name = last_name(func.value)
         if name is None:
             return None
         if func.attr == "acquire" and LOCK_NAME_RE.search(name):
@@ -248,12 +226,16 @@ def direct_calls(body: list[ast.stmt]) -> Iterator[ast.Call]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-class AsyncFlowModel:
+class AsyncFlowModel(ContextModel):
     """Which async contexts can execute each function, program-wide."""
+
+    #: "main" is implicit: a function in neither context never runs
+    #: under the loop.
+    CONTEXTS = ("loop", "executor")
+    OUTSIDE = "outside async"
 
     def __init__(self, program: Program, callgraph: CallGraph) -> None:
         self.program = program
-        self.callgraph = callgraph
         #: (class qualname, attr) -> ClassInfo, from __init__ evidence.
         self.attr_types = self._infer_attr_types()
         #: qualname -> {callee qualname} resolved through typed attrs.
@@ -261,12 +243,24 @@ class AsyncFlowModel:
         #: (scope qualname) -> [(call node, [targets])] — executing
         #: (non-deferred) calls only, statically + typed resolved.
         self.resolved_calls: dict[str, list[tuple[ast.Call, list[FunctionInfo]]]] = {}
-        self._build_typed_edges()
-        self.entries: list[AsyncEntry] = self._find_entries()
-        self._reachable: dict[str, set[str]] = {}
-        for context in CONTEXTS:
-            roots = {e.qualname for e in self.entries if e.context == context}
-            self._reachable[context] = self._reach(roots)
+        for module, fn, qualname, body in program.scopes():
+            # Deferred bodies (nested defs, lambdas) still seed
+            # reachability — the closure is invoked downstream in the
+            # same logical task — just not the blocking analysis.
+            targets_of: dict[int, list[FunctionInfo]] = {}
+            for stmt in body:
+                for call in ast.walk(stmt):
+                    if isinstance(call, ast.Call):
+                        targets = self.call_targets(module, fn, call)
+                        targets_of[id(call)] = targets
+                        for target in targets:
+                            self.typed_edges.setdefault(qualname, set()).add(
+                                target.qualname
+                            )
+            self.resolved_calls[qualname] = [
+                (call, targets_of[id(call)]) for call in direct_calls(body)
+            ]
+        super().__init__(program, callgraph)
         self.blocking: dict[str, BlockingReason] = self._compute_blocking()
 
     # -- typed attribute resolution ------------------------------------
@@ -293,14 +287,10 @@ class AsyncFlowModel:
             for node in ast.walk(init.node):
                 if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                     continue
-                target = node.targets[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
+                attr = self_attr(node.targets[0])
+                if attr is None:
                     continue
-                key = (qualname, target.attr)
+                key = (qualname, attr)
                 inferred = self._value_class(module, params, node.value)
                 if inferred is None:
                     conflicted.add(key)
@@ -317,8 +307,7 @@ class AsyncFlowModel:
     ) -> dict[str, ClassInfo]:
         """Parameters of *fn* annotated with a program class."""
         out: dict[str, ClassInfo] = {}
-        args = fn.node.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        for arg in named_args(fn.node):
             if arg.annotation is None:
                 continue
             cls = self._class_of_annotation(module, arg.annotation)
@@ -345,16 +334,7 @@ class AsyncFlowModel:
                 if cls is not None:
                     return cls
             return None
-        if isinstance(annotation, ast.Name):
-            local = module.classes.get(annotation.id)
-            if local is not None:
-                return local
-        dotted = module.imports.resolve(annotation)
-        if dotted is not None:
-            hit = self.program.resolve_dotted(dotted)
-            if isinstance(hit, ClassInfo):
-                return hit
-        return None
+        return self.program.class_of(module, annotation)
 
     def _value_class(
         self,
@@ -363,7 +343,7 @@ class AsyncFlowModel:
         value: ast.expr,
     ) -> ClassInfo | None:
         if isinstance(value, ast.Call):
-            return self.program.instantiated_class(module, value)
+            return self.program.class_of(module, value.func)
         if isinstance(value, ast.Name):
             return params.get(value.id)
         if isinstance(value, ast.IfExp):
@@ -377,7 +357,7 @@ class AsyncFlowModel:
                 return arms[0]
         return None
 
-    def _attr_chain_class(
+    def attr_class(
         self, scope_fn: FunctionInfo | None, expr: ast.expr
     ) -> ClassInfo | None:
         """Static type of ``self.a.b.c`` through the inferred attr map."""
@@ -407,145 +387,33 @@ class AsyncFlowModel:
             current = nxt
         return current
 
-    def resolve_typed_call(
-        self, scope_fn: FunctionInfo | None, call: ast.Call
-    ) -> FunctionInfo | None:
-        """Resolve ``self.a.b.method(...)`` through typed attributes."""
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        owner = self._attr_chain_class(scope_fn, func.value)
-        if owner is None:
-            return None
-        return self.program.resolve_method(owner, func.attr)
+    # -- context-model hooks -------------------------------------------
 
-    # -- call resolution (static + typed) ------------------------------
-
-    def _scopes(
-        self,
-    ) -> Iterator[tuple[ModuleInfo, str, FunctionInfo | None, list[ast.stmt]]]:
-        for rel in sorted(self.program.modules):
-            module = self.program.modules[rel]
-            top = [
-                stmt
-                for stmt in module.tree.body
-                if not isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-            ]
-            yield module, f"{module.modname}.<module>", None, top
-            for name in sorted(module.functions):
-                fn = module.functions[name]
-                yield module, fn.qualname, fn, list(fn.node.body)
-            for class_name in sorted(module.classes):
-                cls = module.classes[class_name]
-                for method_name in sorted(cls.methods):
-                    method = cls.methods[method_name]
-                    yield module, method.qualname, method, list(method.node.body)
-
-    def _resolve_call(
-        self,
-        module: ModuleInfo,
-        scope_fn: FunctionInfo | None,
-        call: ast.Call,
-        flow: FunctionDataflow | None = None,
+    def call_targets(
+        self, module: ModuleInfo, fn: FunctionInfo | None, call: ast.Call
     ) -> list[FunctionInfo]:
-        """Static targets of one call; typed-attr resolution as fallback."""
-        targets, dynamic = self.program.resolve_call(module, scope_fn, call)
+        """Static targets of one call; a provable receiver class (typed
+        attribute chain, single-construction local) as fallback."""
+        targets, dynamic = self.program.resolve_call(module, fn, call)
         if targets and not dynamic:
             return targets
-        typed = self.resolve_typed_call(scope_fn, call)
-        if typed is not None:
-            return [typed]
-        # ``svc = Service(); svc.bump()`` — a local whose single
-        # construction site is visible resolves like a typed attribute.
-        func = call.func
-        if (
-            flow is not None
-            and isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-        ):
-            owner = _local_instance_class(
-                self.program, module, flow, func.value.id
+        if isinstance(call.func, ast.Attribute):
+            method = self.program.receiver_method(
+                module, fn, call.func, self.attr_class
             )
-            if owner is not None:
-                method = self.program.resolve_method(owner, func.attr)
-                if method is not None:
-                    return [method]
+            if method is not None:
+                return [method]
         return []
 
-    def _scope_flow(
-        self, module: ModuleInfo, scope_fn: FunctionInfo | None
-    ) -> FunctionDataflow | None:
-        if scope_fn is None:
-            return None
-        return FunctionDataflow(
-            scope_fn.node, module_constants=module.module_level_names
-        )
+    #: ``asyncio.run(main())`` passes a coroutine *call*: its targets run.
+    entry_call = call_targets
 
-    def _build_typed_edges(self) -> None:
-        for module, qualname, scope_fn, body in self._scopes():
-            flow = self._scope_flow(module, scope_fn)
-            resolved: list[tuple[ast.Call, list[FunctionInfo]]] = []
-            for call in direct_calls(body):
-                targets = self._resolve_call(module, scope_fn, call, flow)
-                resolved.append((call, targets))
-                for target in targets:
-                    self.typed_edges.setdefault(qualname, set()).add(
-                        target.qualname
-                    )
-            self.resolved_calls[qualname] = resolved
-            # Deferred bodies still seed reachability (the closure is
-            # invoked downstream in the same logical task), just not
-            # the blocking analysis.
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        for target in self._resolve_call(
-                            module, scope_fn, node, flow
-                        ):
-                            self.typed_edges.setdefault(qualname, set()).add(
-                                target.qualname
-                            )
+    def edge_maps(self) -> tuple[dict[str, set[str]], ...]:
+        """Static call-graph edges plus the typed edges."""
+        return (self.callgraph.edges, self.typed_edges)
 
-    # -- entry points --------------------------------------------------
-
-    def _find_entries(self) -> list[AsyncEntry]:
-        entries: list[AsyncEntry] = []
-        for module, _qualname, scope_fn, body in self._scopes():
-            flow = (
-                FunctionDataflow(
-                    scope_fn.node, module_constants=module.module_level_names
-                )
-                if scope_fn is not None
-                else None
-            )
-            nested = {
-                n.name: n
-                for stmt in body
-                for n in ast.walk(stmt)
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    for context, target in self._entry_targets(module, node):
-                        for fn in self._resolve_entry_callable(
-                            module, scope_fn, flow, nested, target
-                        ):
-                            entries.append(
-                                AsyncEntry(
-                                    context=context,
-                                    qualname=fn.qualname,
-                                    rel=module.rel,
-                                    line=getattr(node, "lineno", 0),
-                                )
-                            )
-        return entries
-
-    def _entry_targets(
-        self, module: ModuleInfo, call: ast.Call
+    def entry_targets(
+        self, module: ModuleInfo, fn: FunctionInfo | None, call: ast.Call
     ) -> Iterator[tuple[str, ast.expr]]:
         """``(context, callable_expr)`` pairs a call hands to asyncio."""
         dotted = module.imports.resolve(call.func)
@@ -576,70 +444,6 @@ class AsyncFlowModel:
                 if len(call.args) > index:
                     yield "loop", call.args[index]
 
-    def _resolve_entry_callable(
-        self,
-        module: ModuleInfo,
-        scope_fn: FunctionInfo | None,
-        flow: FunctionDataflow | None,
-        nested: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-        expr: ast.expr,
-    ) -> list[FunctionInfo]:
-        """Resolve a callable-or-coroutine expression to functions.
-
-        ``asyncio.run(main())`` passes a coroutine *call*; task and
-        callback APIs pass the callable itself (possibly wrapped in
-        ``functools.partial``).  Both shapes resolve to the underlying
-        function; anything else is UNKNOWN and contributes nothing.
-        """
-        if isinstance(expr, ast.Call):
-            dotted = module.imports.resolve(expr.func)
-            if dotted in ("functools.partial", "partial") and expr.args:
-                return self._resolve_entry_callable(
-                    module, scope_fn, flow, nested, expr.args[0]
-                )
-            # Covers ``asyncio.run(server.serve_until_shutdown())``:
-            # the local-instance fallback in _resolve_call sees the
-            # single construction site of ``server``.
-            return self._resolve_call(module, scope_fn, expr, flow)
-        fns, _nested_def = _resolve_callable(
-            self.program, module, scope_fn, flow, nested, expr
-        )
-        if fns:
-            return fns
-        typed_owner = (
-            self._attr_chain_class(scope_fn, expr.value)
-            if isinstance(expr, ast.Attribute)
-            else None
-        )
-        if typed_owner is not None:
-            method = self.program.resolve_method(typed_owner, expr.attr)
-            if method is not None:
-                return [method]
-        return []
-
-    # -- reachability --------------------------------------------------
-
-    def _reach(self, roots: set[str]) -> set[str]:
-        """Closure over static call-graph edges plus typed edges."""
-        seen: set[str] = set()
-        stack = list(roots)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.callgraph.edges.get(current, ()))
-            stack.extend(self.typed_edges.get(current, ()))
-        return seen
-
-    def contexts_of(self, qualname: str) -> frozenset[str]:
-        """Async contexts that can execute *qualname* (∅ = untouched)."""
-        return frozenset(
-            context
-            for context in CONTEXTS
-            if qualname in self._reachable[context]
-        )
-
     def is_coroutine(self, qualname: str) -> bool:
         fn = self.program.functions.get(qualname)
         return fn is not None and isinstance(fn.node, ast.AsyncFunctionDef)
@@ -662,7 +466,7 @@ class AsyncFlowModel:
             module = self.program.modules.get(fn.rel)
             if module is None:
                 continue
-            for call in direct_calls(list(fn.node.body)):
+            for call, _targets in self.resolved_calls[qualname]:
                 what = blocking_call_reason(module, call)
                 if what is not None:
                     blocking[qualname] = BlockingReason(

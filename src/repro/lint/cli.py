@@ -7,8 +7,6 @@ Usage::
     python -m repro.lint src --sarif out.sarif  # code-scanning report
     python -m repro.lint src --rule SEED001     # one rule (repeatable)
     python -m repro.lint src --graph            # dump the call graph
-    python -m repro.lint src tests --baseline   # ignore grandfathered
-    python -m repro.lint src tests --write-baseline   # (re)grandfather
 
 Exit codes mirror the main CLI convention: 0 clean, 1 findings,
 2 usage/configuration error.
@@ -21,7 +19,7 @@ import os
 import sys
 
 from repro.errors import LintUsageError
-from repro.lint.engine import DEFAULT_BASELINE, Baseline, LintEngine
+from repro.lint.engine import LintEngine
 from repro.lint.report import (
     render_json,
     render_rule_list,
@@ -36,8 +34,8 @@ EXIT_USAGE = 2
 
 _EPILOG = """\
 exit codes:
-  0  clean — no new findings (baselined and suppressed hazards allowed)
-  1  findings — at least one new determinism hazard
+  0  clean — no findings (suppressed hazards allowed)
+  1  findings — at least one unsuppressed determinism hazard
   2  usage or configuration error
 
 suppressions:
@@ -76,22 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a SARIF 2.1.0 report to FILE (code-scanning upload)",
     )
     parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="FILE",
-        help=f"ignore findings grandfathered in FILE (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="FILE",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         metavar="IDS",
@@ -116,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="also list suppressed and baselined findings",
+        help="also list suppressed findings",
     )
     return parser
 
@@ -157,27 +139,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     engine = LintEngine(rules=rules)
-    active_rule_ids = [rule.id for rule in engine.rules]
     try:
         if args.graph:
             _emit(engine.graph(args.paths))
             return EXIT_OK
-        if args.write_baseline is not None:
-            result = engine.run(args.paths, baseline=None)
-            Baseline.write(
-                args.write_baseline, result.findings, rules=active_rule_ids
-            )
-            print(
-                f"wrote {len(result.findings)} grandfathered finding(s) "
-                f"to {args.write_baseline}"
-            )
-            return EXIT_OK
-        baseline = (
-            Baseline.load(args.baseline, expected_rules=active_rule_ids)
-            if args.baseline is not None
-            else None
-        )
-        result = engine.run(args.paths, baseline=baseline)
+        result = engine.run(args.paths)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

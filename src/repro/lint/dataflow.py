@@ -24,6 +24,14 @@ import enum
 import re
 from typing import Iterator
 
+from repro.lint.callgraph import (
+    Binding,
+    bound_values,
+    collect_bindings,
+    last_name,
+    param_names,
+)
+
 #: Parameter / attribute names that denote seed material.
 _SEED_NAME_RE = re.compile(r"^_?(seed|seeds|[a-z0-9_]+_seeds?)$")
 
@@ -65,63 +73,23 @@ def _combine(taints: list[Taint]) -> Taint:
     return Taint.UNKNOWN
 
 
-def _last_name(expr: ast.expr) -> str | None:
-    """Trailing identifier of a call target (``a.b.c`` -> ``c``)."""
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
 class FunctionDataflow:
     """Local def-use facts for one function body."""
 
     def __init__(
         self,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_constants: set[str] | None = None,
+        bindings: dict[str, list[Binding]] | None = None,
     ) -> None:
         self.node = node
-        self.module_constants = module_constants or set()
-        args = node.args
-        self.params: list[str] = [
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        ]
-        if args.vararg is not None:
-            self.params.append(args.vararg.arg)
-        if args.kwarg is not None:
-            self.params.append(args.kwarg.arg)
-        #: name -> every expression assigned to it in this body.
-        self.assignments: dict[str, list[ast.expr]] = {}
-        self._collect_assignments()
-
-    # -- collection ----------------------------------------------------
-
-    def _collect_assignments(self) -> None:
-        for stmt in ast.walk(self.node):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._record_target(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._record_target(stmt.target, stmt.iter)
-            elif isinstance(stmt, ast.withitem) and stmt.optional_vars is not None:
-                self._record_target(stmt.optional_vars, stmt.context_expr)
-            elif isinstance(stmt, ast.comprehension):
-                self._record_target(stmt.target, stmt.iter)
-
-    def _record_target(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            self.assignments.setdefault(target.id, []).append(value)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                # Tuple unpacking: every bound name inherits the
-                # right-hand side's taint (over-approximation).
-                self._record_target(element, value)
+        self.params: list[str] = param_names(node)
+        #: name -> every expression bound to it in this body, by any
+        #: binding form; a tuple target binds each element to the whole
+        #: right-hand side (over-approximation).  *bindings* is the
+        #: scope's shared def-use map (:meth:`Program.bindings`).
+        self.assignments: dict[str, list[ast.expr]] = bound_values(
+            collect_bindings([node]) if bindings is None else bindings
+        )
 
     # -- parameter usage -----------------------------------------------
 
@@ -216,12 +184,10 @@ class FunctionDataflow:
         if is_seed_name(name):
             # A free seed-like variable (enclosing scope, module level).
             return Taint.SEEDED
-        if name in self.module_constants:
-            return Taint.UNKNOWN
         return Taint.UNKNOWN
 
     def _taint_of_call(self, call: ast.Call, visiting: frozenset[str]) -> Taint:
-        name = _last_name(call.func)
+        name = last_name(call.func)
         arg_taints = [self.taint_of(a, visiting) for a in call.args] + [
             self.taint_of(kw.value, visiting)
             for kw in call.keywords

@@ -41,6 +41,9 @@ from repro.lint.callgraph import (
     FunctionInfo,
     ModuleInfo,
     Program,
+    Scope,
+    bound_values,
+    self_attr,
 )
 
 
@@ -109,6 +112,9 @@ _DTYPE_STRINGS = {
 
 #: Identifiers carrying 64-bit address material by the trace contract.
 WIDE_NAME_RE = re.compile(r"(^|_)(pcs?|address(es)?|addrs?|targets?|tags?)$")
+
+#: The binding form the interpreter follows: plain assignment.
+_ASSIGN = frozenset({"assign"})
 
 #: The abstract value the wide-name lexicon assigns.
 _WIDE_RANGE = (0, 2**63 - 1)
@@ -354,10 +360,11 @@ _ACCUMULATORS = {"numpy.cumsum", "numpy.add.accumulate"}
 class DtypeScope:
     """Dtype/range inference over one function body or module top level.
 
-    Mirrors :class:`repro.lint.unitflow.UnitScope`: flow-insensitive
-    assignment map joined across reaching definitions, a cycle guard on
-    name lookups, and ``self.<field>`` knowledge supplied by
-    :func:`class_field_infos` from ``__init__`` constructor calls.
+    Mirrors :class:`repro.lint.unitflow.UnitScope`: the plain
+    whole-name assignments of the scope's shared def-use map, joined
+    across reaching definitions, a cycle guard on name lookups, and
+    ``self.<field>`` knowledge supplied by :func:`class_field_infos`
+    from ``__init__`` constructor calls.
     """
 
     def __init__(
@@ -368,23 +375,15 @@ class DtypeScope:
         body: list[ast.stmt],
         field_infos: dict[str, ArrayInfo] | None = None,
     ) -> None:
-        self.program = program
         self.module = module
-        self.function = function
         self.body = body
         self.field_infos = field_infos or {}
-        self.assignments: dict[str, list[ast.expr]] = {}
+        self.assignments: dict[str, list[ast.expr]] = bound_values(
+            program.bindings(module, function), _ASSIGN, unpacked=False
+        )
         self.params: set[str] = set()
         if function is not None:
             self.params = set(function.params())
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.assignments.setdefault(
-                                target.id, []
-                            ).append(node.value)
 
     # -- queries -------------------------------------------------------
 
@@ -467,7 +466,7 @@ class DtypeScope:
         func = call.func
         # x.astype(D) — dtype conversion with range carry-over.
         if isinstance(func, ast.Attribute) and func.attr == "astype":
-            target = self._call_dtype_arg(call)
+            target = astype_target(self.module, call)
             if target is DType.UNKNOWN:
                 return UNKNOWN_INFO
             operand = self.info_of(func.value, visiting)
@@ -599,16 +598,11 @@ class DtypeScope:
 
     # -- helpers -------------------------------------------------------
 
-    def _call_dtype_arg(self, call: ast.Call) -> DType:
-        """dtype named by ``astype``'s first arg or ``dtype=`` keyword."""
-        return astype_target(self.module, call)
-
     def _constructor_dtype(self, call: ast.Call, default: DType) -> DType:
         expr = _keyword(call, "dtype")
         if expr is None:
             return default
-        resolved = dtype_of_expr(self.module, expr)
-        return resolved if resolved is not DType.UNKNOWN else DType.UNKNOWN
+        return dtype_of_expr(self.module, expr)
 
 
 def class_field_infos(
@@ -629,16 +623,13 @@ def class_field_infos(
             if not isinstance(stmt, ast.Assign):
                 continue
             for target in stmt.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
+                attr = self_attr(target)
+                if attr is not None:
                     info = scope.info_of(stmt.value)
-                    if target.attr in infos:
-                        infos[target.attr] = join(infos[target.attr], info)
+                    if attr in infos:
+                        infos[attr] = join(infos[attr], info)
                     else:
-                        infos[target.attr] = info
+                        infos[attr] = info
     # Re-derived state (assigned from itself) degrades ranges to the
     # dtype's own bounds: updates like ``self.t[i] = pc`` are invisible
     # to the flow-insensitive pass, so only the dtype survives.
@@ -652,37 +643,16 @@ def class_field_infos(
 
 def iter_kernel_scopes(
     program: Program,
-) -> Iterator[
-    tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt], DtypeScope]
-]:
-    """Each scope of every module in the analysis set, with its
-    :class:`DtypeScope` (field knowledge attached for methods)."""
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        field_cache: dict[str, dict[str, ArrayInfo]] = {}
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, top_level, DtypeScope(
-            program, module, None, top_level
-        )
-        for name in sorted(module.functions):
-            fn = module.functions[name]
-            body = list(fn.node.body)
-            yield module, fn, body, DtypeScope(program, module, fn, body)
-        for class_name in sorted(module.classes):
-            cls = module.classes[class_name]
-            if class_name not in field_cache:
-                field_cache[class_name] = class_field_infos(
-                    program, module, cls
-                )
-            for method_name in sorted(cls.methods):
-                method = cls.methods[method_name]
-                body = list(method.node.body)
-                yield module, method, body, DtypeScope(
-                    program, module, method, body, field_cache[class_name]
-                )
+) -> Iterator[tuple[Scope, DtypeScope]]:
+    """Each scope of the program with its :class:`DtypeScope` (field
+    knowledge attached for methods)."""
+    field_cache: dict[int, dict[str, ArrayInfo]] = {}
+    for scope in program.scopes():
+        module, fn = scope.module, scope.fn
+        fields = None
+        if fn is not None and fn.class_name is not None:
+            cls = module.classes[fn.class_name]
+            if id(cls) not in field_cache:
+                field_cache[id(cls)] = class_field_infos(program, module, cls)
+            fields = field_cache[id(cls)]
+        yield scope, DtypeScope(program, module, fn, scope.body, fields)

@@ -1,18 +1,18 @@
-"""The determinism-lint engine: discovery, parsing, suppressions, baseline.
+"""The determinism-lint engine: discovery, parsing, suppressions.
 
 One :class:`LintEngine` scans a set of files or directory trees, runs
-every applicable rule over each parsed module, and applies two
-filtering layers:
+every applicable per-file rule over each parsed module, indexes the
+parsed modules into one :class:`~repro.lint.callgraph.Program`, runs
+every whole-program rule over it, and applies one filtering layer:
 
 * **inline suppressions** — ``# repro: allow-DET00x <reason>`` on the
   flagged line (or on a comment-only line directly above it) waives a
   finding.  The reason is mandatory: a suppression without a
   justification does not suppress, it annotates the finding instead,
   so every waiver in the tree is reviewable.
-* **baseline** — a checked-in JSON file of grandfathered finding
-  fingerprints (hash of path, rule, source text — robust to line
-  drift).  Findings present in the baseline are reported separately
-  and do not fail the run; new findings do.
+
+There is no baseline: every finding that survives suppression fails
+the run.
 
 The engine's own directory walk is ``sorted`` — the linter practices
 the determinism it preaches.
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,12 +44,6 @@ from repro.lint.rules.base import (
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow-(?P<rule>[A-Z]{3,5}\d{3})(?:\s+(?P<reason>\S.*))?"
 )
-
-#: Default baseline filename (repo root, checked in).
-DEFAULT_BASELINE = "repro-lint-baseline.json"
-
-_BASELINE_VERSION = 2
-
 
 @dataclass(frozen=True)
 class Suppression:
@@ -89,9 +81,8 @@ def parse_suppressions(lines: Sequence[str]) -> dict[int, list[Suppression]]:
 class LintResult:
     """Outcome of one lint run."""
 
-    findings: list[Finding] = field(default_factory=list)  # new, unsuppressed
+    findings: list[Finding] = field(default_factory=list)  # unsuppressed
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     #: Analyzer wall-time telemetry: phase name -> seconds, plus a
     #: nested ``program_rules`` map of per-rule seconds.  Telemetry
@@ -100,7 +91,7 @@ class LintResult:
 
     @property
     def clean(self) -> bool:
-        """True when no *new* findings survived filtering."""
+        """True when no finding survived suppression."""
         return not self.findings
 
 
@@ -234,18 +225,14 @@ class LintEngine:
 
     # -- tree ----------------------------------------------------------
 
-    def run(
-        self,
-        paths: Iterable[str | Path],
-        baseline: "Baseline | None" = None,
-    ) -> LintResult:
-        """Lint every Python file under *paths* against *baseline*.
+    def run(self, paths: Iterable[str | Path]) -> LintResult:
+        """Lint every Python file under *paths*.
 
         Per-file rules run first; the successfully parsed modules are
         then indexed into one :class:`~repro.lint.callgraph.Program`
         (plus call graph) and every :class:`ProgramRule` runs over it.
         Program findings anchor to ordinary file/line locations, so
-        inline suppressions and the baseline apply to them unchanged.
+        inline suppressions apply to them unchanged.
 
         The shared context is built once per run; program rules reuse
         its memoized models (:meth:`ProgramContext.shared`), and
@@ -255,20 +242,19 @@ class LintEngine:
         result = LintResult()
         parsed: list[tuple[str, ast.Module, list[str]]] = []
         suppressions_by_rel: dict[str, dict[int, list[Suppression]]] = {}
-        raw_active: list[Finding] = []
         for path in self.discover(paths):
             rel, tree, lines, parse_findings = self._parse(path)
             result.files_scanned += 1
             suppressions = parse_suppressions(lines)
             suppressions_by_rel[rel] = suppressions
             if tree is None:
-                raw_active.extend(parse_findings)
+                result.findings.extend(parse_findings)
                 continue
             parsed.append((rel, tree, lines))
             active, suppressed = self._apply_suppressions(
                 self._file_findings(rel, tree, lines), suppressions
             )
-            raw_active.extend(active)
+            result.findings.extend(active)
             result.suppressed.extend(suppressed)
         t_files = tick_seconds()
         per_rule_seconds: dict[str, float] = {}
@@ -284,20 +270,13 @@ class LintEngine:
                         [finding],
                         suppressions_by_rel.get(finding.path, {}),
                     )
-                    raw_active.extend(active)
+                    result.findings.extend(active)
                     result.suppressed.extend(suppressed)
                 per_rule_seconds[rule.id] = round(
                     tick_seconds() - t_rule, 6
                 )
-        if baseline is None:
-            result.findings.extend(raw_active)
-        else:
-            fresh, grandfathered = baseline.split(raw_active)
-            result.findings.extend(fresh)
-            result.baselined.extend(grandfathered)
         result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         result.suppressed.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        result.baselined.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         result.timing = {
             "per_file_seconds": round(t_files - t_start, 6),
             "program_build_seconds": round(t_build - t_files, 6),
@@ -323,140 +302,3 @@ class LintEngine:
                 parsed.append((path.as_posix(), tree, lines))
         ctx = self.build_program_context(parsed)
         return ctx.callgraph.render()  # type: ignore[attr-defined]
-
-
-class Baseline:
-    """Grandfathered findings, keyed by content fingerprint.
-
-    Each fingerprint carries a count so two identical hazards on
-    identical source lines in one file are tracked separately; fixing
-    one surfaces the other.
-
-    Since version 2 a baseline also records the rule set it was written
-    under.  A baseline grandfathers *known* findings — one produced by
-    a linter with different rules would silently "match" findings the
-    old rules never saw, so :meth:`load` rejects it as stale instead.
-    """
-
-    def __init__(
-        self,
-        counts: Counter[str] | None = None,
-        rules: Sequence[str] | None = None,
-    ) -> None:
-        self.counts: Counter[str] = Counter(counts or {})
-        self.rules: tuple[str, ...] | None = (
-            tuple(sorted(rules)) if rules is not None else None
-        )
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """A baseline grandfathering exactly *findings*."""
-        return cls(Counter(f.fingerprint() for f in findings))
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        expected_rules: Sequence[str] | None = None,
-    ) -> "Baseline":
-        """Read a baseline file (empty baseline when absent).
-
-        When *expected_rules* is given (the CLI passes the active rule
-        set), a baseline recorded under a different rule set — or a
-        version-1 file that predates rule-set tracking — raises
-        :class:`LintUsageError` so staleness is detected rather than
-        silently matched.
-        """
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            version = payload.get("version")
-            if version not in (1, _BASELINE_VERSION):
-                raise LintUsageError(
-                    f"{path}: unsupported baseline version {version!r}"
-                )
-            rules = (
-                [str(r) for r in payload["rules"]]
-                if version >= 2
-                else None
-            )
-            counts = Counter(
-                {
-                    str(entry["fingerprint"]): int(entry.get("count", 1))
-                    for entry in payload["entries"]
-                }
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise LintUsageError(f"{path}: malformed baseline: {exc}") from exc
-        if expected_rules is not None:
-            expected = tuple(sorted(expected_rules))
-            if rules is None:
-                raise LintUsageError(
-                    f"{path}: baseline predates rule-set tracking "
-                    "(version 1); regenerate it with --write-baseline"
-                )
-            if tuple(sorted(rules)) != expected:
-                raise LintUsageError(
-                    f"{path}: stale baseline — written under rule set "
-                    f"[{', '.join(sorted(rules))}] but the linter now "
-                    f"runs [{', '.join(expected)}]; regenerate it with "
-                    "--write-baseline"
-                )
-        return cls(counts, rules=rules)
-
-    @staticmethod
-    def write(
-        path: str | Path,
-        findings: Iterable[Finding],
-        rules: Sequence[str] | None = None,
-    ) -> None:
-        """Write a baseline grandfathering *findings* (sorted, stable).
-
-        *rules* records the active rule set (defaults to every
-        registered rule) so a later load can detect staleness.
-        """
-        grouped: dict[str, dict] = {}
-        for finding in sorted(
-            findings, key=lambda f: (f.path, f.line, f.col, f.rule)
-        ):
-            fp = finding.fingerprint()
-            entry = grouped.setdefault(
-                fp,
-                {
-                    "fingerprint": fp,
-                    "rule": finding.rule,
-                    "path": finding.path,
-                    "text": finding.text,
-                    "count": 0,
-                },
-            )
-            entry["count"] += 1
-        if rules is None:
-            rules = [rule.id for rule in all_rules()]
-        payload = {
-            "version": _BASELINE_VERSION,
-            "rules": sorted(rules),
-            "entries": sorted(grouped.values(), key=lambda e: e["fingerprint"]),
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    def split(
-        self, findings: Iterable[Finding]
-    ) -> tuple[list[Finding], list[Finding]]:
-        """Partition into (new, grandfathered) against this baseline."""
-        budget = Counter(self.counts)
-        fresh: list[Finding] = []
-        grandfathered: list[Finding] = []
-        for finding in findings:
-            fp = finding.fingerprint()
-            if budget[fp] > 0:
-                budget[fp] -= 1
-                grandfathered.append(finding)
-            else:
-                fresh.append(finding)
-        return fresh, grandfathered

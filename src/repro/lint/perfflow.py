@@ -42,10 +42,12 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lint.callgraph import (
-    MODULE_SCOPE,
     FunctionInfo,
     ModuleInfo,
     Program,
+    bound_values,
+    last_name,
+    reachable,
 )
 
 #: Engine entry points: reachability roots of the hot scope.
@@ -139,11 +141,10 @@ class _Scope:
     module: ModuleInfo
     fn: FunctionInfo | None
     qualname: str
-    body: list[ast.stmt]
     #: callee qualnames of calls *outside* any scalar guard.
     vector_callees: set[str] = field(default_factory=set)
     loops: list[HotLoop] = field(default_factory=list)
-    #: Name -> value exprs assigned anywhere in the scope.
+    #: Name -> value exprs plainly assigned anywhere in the scope.
     assigns: dict[str, list[ast.expr]] = field(default_factory=dict)
 
 
@@ -161,9 +162,18 @@ class HotPathModel:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.scopes: dict[str, _Scope] = {}
-        for module, fn, qualname, body in _iter_scopes(program):
-            scope = _Scope(module, fn, qualname, body)
-            self._collect(scope)
+        for module, fn, qualname, body in program.scopes():
+            scope = _Scope(
+                module,
+                fn,
+                qualname,
+                assigns=bound_values(
+                    program.bindings(module, fn),
+                    frozenset({"assign"}),
+                    unpacked=False,
+                ),
+            )
+            self._scan(scope, body, in_scalar=False, loop=None)
             self.scopes[qualname] = scope
         self.entries: tuple[str, ...] = tuple(
             sorted(
@@ -172,13 +182,16 @@ class HotPathModel:
                 if info.name in ENTRY_NAMES
             )
         )
-        self.hot: frozenset[str] = self._reach(self.entries)
+        vector_edges = {q: scope.vector_callees for q, scope in self.scopes.items()}
+        self.hot: frozenset[str] = frozenset(
+            q
+            for q in reachable(
+                [q for q in self.entries if q in self.scopes], vector_edges
+            )
+            if q in self.scopes
+        )
 
     # -- construction --------------------------------------------------
-
-    def _collect(self, scope: _Scope) -> None:
-        """Fill a scope's calls/loops/assignments, tracking guards."""
-        self._scan(scope, scope.body, in_scalar=False, loop=None)
 
     def _scan(
         self,
@@ -216,15 +229,10 @@ class HotPathModel:
                 self._scan(scope, stmt.body, in_scalar, inner)
                 self._scan(scope, stmt.orelse, in_scalar, loop)
                 continue
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                if loop is not None:
-                    loop.assignments.append(stmt)
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            scope.assigns.setdefault(target.id, []).append(
-                                stmt.value
-                            )
+            if loop is not None and isinstance(
+                stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)
+            ):
+                loop.assignments.append(stmt)
             if isinstance(stmt, ast.Try):
                 for handler in stmt.handlers:
                     self._scan(scope, handler.body, in_scalar, loop)
@@ -304,23 +312,7 @@ class HotPathModel:
             )
         return False
 
-    def _reach(self, roots: tuple[str, ...]) -> frozenset[str]:
-        seen: set[str] = set()
-        frontier = [q for q in roots if q in self.scopes]
-        seen.update(frontier)
-        while frontier:
-            scope = self.scopes[frontier.pop()]
-            for callee in scope.vector_callees:
-                if callee not in seen and callee in self.scopes:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return frozenset(seen)
-
     # -- queries -------------------------------------------------------
-
-    def is_hot(self, qualname: str) -> bool:
-        """Whether *qualname* is vector-path reachable from an entry."""
-        return qualname in self.hot
 
     def hot_loops(self) -> Iterator[HotLoop]:
         """Loops in hot scopes, outside any scalar-engine guard."""
@@ -335,13 +327,7 @@ class HotPathModel:
         families: set[str] = set()
         for stmt in ast.walk(loop.node):
             if isinstance(stmt, ast.Call):
-                func = stmt.func
-                attr = (
-                    func.attr
-                    if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else ""
-                )
-                if attr in ("lru_access", "argmax"):
+                if last_name(stmt.func) in ("lru_access", "argmax"):
                     families.add("lru_scan")
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -357,30 +343,6 @@ class HotPathModel:
             ):
                 families.add("shifted_histories")
         return "/".join(sorted(families)) or "counter_scan/last_value_scan"
-
-
-def _iter_scopes(
-    program: Program,
-) -> Iterator[tuple[ModuleInfo, FunctionInfo | None, str, list[ast.stmt]]]:
-    """Every scope of every module: top level, functions, methods."""
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, f"{module.modname}.{MODULE_SCOPE}", top_level
-        for name in sorted(module.functions):
-            fn = module.functions[name]
-            yield module, fn, fn.qualname, list(fn.node.body)
-        for class_name in sorted(module.classes):
-            cls = module.classes[class_name]
-            for method_name in sorted(cls.methods):
-                method = cls.methods[method_name]
-                yield module, method, method.qualname, list(method.node.body)
 
 
 def _is_chunked(module: ModuleInfo, iter_expr: ast.expr) -> bool:

@@ -1,13 +1,13 @@
 """Rendering lint results: human-readable text, ``--json``, ``--sarif``.
 
-The JSON schema (version 3) is stable for CI consumption::
+The JSON schema (version 4) is stable for CI consumption::
 
     {
-      "version": 3,
+      "version": 4,
       "rule_set": ["CONC001", "DET001", ..., "SEED001"],
       "clean": bool,
       "files_scanned": int,
-      "summary": {"findings": int, "baselined": int, "suppressed": int,
+      "summary": {"findings": int, "suppressed": int,
                   "by_rule": {"DET001": int, ...}},
       "findings": [{"rule", "severity", "path", "line", "col",
                     "message", "hint", "fingerprint"}, ...],
@@ -19,11 +19,12 @@ The JSON schema (version 3) is stable for CI consumption::
     }
 
 Version 2 added ``rule_set`` (the ids that actually ran) so a consumer
-comparing two reports — or a baseline written from one — can tell a
-clean run from a run that never executed the rule it cares about.
-Version 3 added ``timing`` — analyzer wall-time telemetry.  It is the
-one non-deterministic key in the payload; byte-for-byte comparisons of
-two reports must strip it first.
+comparing two reports can tell a clean run from a run that never
+executed the rule it cares about.  Version 3 added ``timing`` —
+analyzer wall-time telemetry.  It is the one non-deterministic key in
+the payload; byte-for-byte comparisons of two reports must strip it
+first.  Version 4 dropped ``summary.baselined`` with the baseline
+feature.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 from repro.lint.engine import LintResult
 from repro.lint.rules import Rule, all_rules
 
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -53,11 +54,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
                 f"{finding.location()}: {finding.rule} suppressed: "
                 f"{finding.message} (reason: {finding.suppress_reason})"
             )
-        for finding in result.baselined:
-            out.append(
-                f"{finding.location()}: {finding.rule} baselined: "
-                f"{finding.message}"
-            )
     counts = Counter(f.rule for f in result.findings)
     by_rule = (
         " (" + ", ".join(f"{r}: {n}" for r, n in sorted(counts.items())) + ")"
@@ -67,7 +63,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
     out.append(
         f"{result.files_scanned} files scanned: "
         f"{len(result.findings)} finding(s){by_rule}, "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(out)
@@ -83,7 +78,6 @@ def render_json(result: LintResult, rules: Sequence[Rule] | None = None) -> str:
         "files_scanned": result.files_scanned,
         "summary": {
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "by_rule": dict(
                 sorted(Counter(f.rule for f in result.findings).items())
@@ -113,8 +107,7 @@ def render_sarif(result: LintResult, rules: Sequence[Rule] | None = None) -> str
 
     One run, one driver (``repro-lint``), one result per finding.  The
     finding fingerprint rides along as a partial fingerprint so SARIF
-    consumers can track a hazard across line shifts the same way the
-    baseline does.  Parse-error findings (``DET000``) carry no
+    consumers can track a hazard across line shifts.  Parse-error findings (``DET000``) carry no
     registered rule; their results simply omit ``ruleIndex``.
     """
     rules = list(all_rules() if rules is None else rules)

@@ -31,21 +31,15 @@ from typing import Iterator
 from repro.lint.asyncflow import (
     AsyncFlowModel,
     blocking_call_reason,
-    direct_calls,
     is_awaited,
 )
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
-    has_segment,
     register,
 )
-
-
-def in_scope(rel: str) -> bool:
-    """Product source only; test fixtures may block on purpose."""
-    return has_segment(rel, "repro") and not has_segment(rel, "tests")
+from repro.lint.rules.conc002_shared_state import in_scope
 
 
 def asyncflow_model(ctx: ProgramContext) -> AsyncFlowModel:
@@ -77,25 +71,16 @@ class BlockingInCoroutineRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         model = asyncflow_model(ctx)
-        program = ctx.program
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
-            for qualname in sorted(
-                q for q, f in program.functions.items() if f.rel == rel
+        for module, fn, qualname, _body in ctx.program.scopes():
+            if (
+                in_scope(module.rel)
+                and fn is not None
+                and isinstance(fn.node, ast.AsyncFunctionDef)
             ):
-                fn = program.functions[qualname]
-                if not isinstance(fn.node, ast.AsyncFunctionDef):
-                    continue
-                yield from self._check_coroutine(model, module, qualname, fn)
+                yield from self._check_coroutine(model, module, qualname)
 
-    def _check_coroutine(self, model, module, qualname, fn) -> Iterator[Finding]:
-        resolved = {
-            id(call): targets
-            for call, targets in model.resolved_calls.get(qualname, ())
-        }
-        for call in direct_calls(list(fn.node.body)):
+    def _check_coroutine(self, model, module, qualname) -> Iterator[Finding]:
+        for call, targets in model.resolved_calls[qualname]:
             if is_awaited(call):
                 continue
             what = blocking_call_reason(module, call)
@@ -108,7 +93,7 @@ class BlockingInCoroutineRule(ProgramRule):
                     source_line=module.source_text(call),
                 )
                 continue
-            for target in resolved.get(id(call), ()):
+            for target in targets:
                 if model.is_coroutine(target.qualname):
                     continue
                 reason = model.blocking_reason_of(target.qualname)

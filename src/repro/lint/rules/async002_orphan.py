@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.async001_blocking import asyncflow_model, in_scope
+from repro.lint.rules.async001_blocking import asyncflow_model
+from repro.lint.rules.conc002_shared_state import in_scope
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -59,19 +60,13 @@ class OrphanCoroutineRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         model = asyncflow_model(ctx)
-        program = ctx.program
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
+        for module, fn, qualname, _body in ctx.program.scopes():
+            if fn is None or not in_scope(module.rel):
                 continue
-            module = program.modules[rel]
-            for qualname in sorted(model.resolved_calls):
-                fn = program.functions.get(qualname)
-                if fn is None or fn.rel != rel:
-                    continue
-                for call, targets in model.resolved_calls[qualname]:
-                    finding = self._check_call(model, module, call, targets)
-                    if finding is not None:
-                        yield finding
+            for call, targets in model.resolved_calls[qualname]:
+                finding = self._check_call(model, module, call, targets)
+                if finding is not None:
+                    yield finding
 
     def _is_discarded(self, call: ast.Call) -> bool:
         """The call's value is dropped (a bare expression statement)."""

@@ -32,46 +32,15 @@ and unresolvable callables contribute no context: UNKNOWN never flags.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.lint.asyncflow import ASYNC_PRIMITIVE_CONSTRUCTORS
-from repro.lint.rules.async001_blocking import asyncflow_model, in_scope
-from repro.lint.rules.base import (
-    Finding,
-    ProgramContext,
-    ProgramRule,
-    register,
-)
-from repro.lint.threadflow import AttributeUse, analyze_class
-
-import ast
-
-
-def _async_primitive_attrs(module, cls) -> set[str]:
-    """Attributes assigned an asyncio primitive anywhere in the class."""
-    attrs: set[str] = set()
-    for method in cls.methods.values():
-        for node in ast.walk(method.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            if (
-                isinstance(node.value, ast.Call)
-                and module.imports.resolve(node.value.func)
-                in ASYNC_PRIMITIVE_CONSTRUCTORS
-            ):
-                attrs.add(target.attr)
-    return attrs
+from repro.lint.callgraph import ContextModel
+from repro.lint.rules.async001_blocking import asyncflow_model
+from repro.lint.rules.base import ProgramContext, register
+from repro.lint.rules.conc002_shared_state import SharedStateRule
 
 
 @register
-class AsyncSharedStateRule(ProgramRule):
+class AsyncSharedStateRule(SharedStateRule):
     """Cross loop/executor mutation needs a lock or an asyncio primitive."""
 
     id = "ASYNC003"
@@ -88,81 +57,17 @@ class AsyncSharedStateRule(ProgramRule):
         "across with `loop.call_soon_threadsafe(...)` or a future, or "
         "confine the state to one context"
     )
+    exempt_constructors = (
+        SharedStateRule.exempt_constructors | ASYNC_PRIMITIVE_CONSTRUCTORS
+    )
+    # The conflicting pair must cross the event-loop boundary:
+    # executor-vs-plain-thread sharing is CONC002's jurisdiction.
+    crossing = "loop"
+    context_word = "async context"
+    consequence = (
+        "no lock, asyncio primitive, or call_soon_threadsafe handoff "
+        "guards the read-modify-write"
+    )
 
-    def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        model = asyncflow_model(ctx)
-        program = ctx.program
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
-            for class_name in sorted(module.classes):
-                cls = module.classes[class_name]
-                facts = analyze_class(module, cls)
-                yield from self._check_class(model, module, cls, facts)
-
-    def _check_class(self, model, module, cls, facts) -> Iterator[Finding]:
-        exempt = (
-            facts.lock_attrs
-            | facts.event_attrs
-            | _async_primitive_attrs(module, cls)
-        )
-        by_attr: dict[str, list[AttributeUse]] = {}
-        for use in facts.uses:
-            if use.method.qualname.endswith(".__init__"):
-                # Pre-publication: __init__ completes before the object
-                # can reach the loop or an executor thread.
-                continue
-            if use.attr not in exempt:
-                by_attr.setdefault(use.attr, []).append(use)
-        for attr in sorted(by_attr):
-            uses = by_attr[attr]
-            contexts = {
-                use.method.qualname: model.contexts_of(use.method.qualname)
-                for use in uses
-            }
-            if not any(contexts.values()):
-                continue  # the async machinery never touches this attr
-            for use in uses:
-                if not use.is_hazard or use.held_locks:
-                    continue
-                mine = contexts[use.method.qualname]
-                # The conflicting pair must cross the event-loop
-                # boundary: executor-vs-plain-thread sharing is
-                # threadflow's (CONC002) jurisdiction, not the loop
-                # contract's.
-                other = next(
-                    (
-                        u
-                        for u in uses
-                        if contexts[u.method.qualname] != mine
-                        and "loop" in (mine | contexts[u.method.qualname])
-                    ),
-                    None,
-                )
-                if other is None:
-                    continue
-                yield self.finding_at(
-                    module.rel,
-                    use.node,
-                    f"{use.method.qualname}() mutates self.{attr} "
-                    f"({_KINDS[use.kind]}) in async context "
-                    f"{_ctx(mine)}, but "
-                    f"{other.method.qualname}() touches it in context "
-                    f"{_ctx(contexts[other.method.qualname])} — no lock, "
-                    "asyncio primitive, or call_soon_threadsafe handoff "
-                    "guards the read-modify-write",
-                    source_line=module.source_text(use.node),
-                )
-
-
-_KINDS = {
-    "augstore": "augmented assignment",
-    "mutcall": "in-place container mutation",
-    "substore": "subscript store",
-    "rmw": "self-referencing reassignment",
-}
-
-
-def _ctx(contexts: frozenset[str]) -> str:
-    return "{" + (", ".join(sorted(contexts)) or "outside async") + "}"
+    def model(self, ctx: ProgramContext) -> ContextModel:
+        return asyncflow_model(ctx)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.async001_blocking import in_scope
+from repro.lint.rules.conc002_shared_state import in_scope
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -59,11 +59,7 @@ class BackpressureRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
+        for module in ctx.program.modules_where(in_scope):
             if "asyncio" not in module.imports.aliases.values() and not any(
                 dotted.startswith("asyncio.")
                 for dotted in module.imports.aliases.values()

@@ -39,16 +39,16 @@ class Finding:
     col: int
     message: str
     hint: str
-    text: str = ""  # stripped source line (baseline fingerprinting)
+    text: str = ""  # stripped source line (fingerprinting)
     suppressed: bool = False
     suppress_reason: str = ""
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
+        """Stable identity across line drift (SARIF partial fingerprint).
 
         Hashes (path, rule, source text) rather than the line number,
-        so unrelated edits that shift a grandfathered finding up or
-        down the file do not invalidate the baseline.
+        so unrelated edits that shift a finding up or down the file do
+        not change its identity.
         """
         payload = f"{self.path}::{self.rule}::{self.text}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -136,40 +136,9 @@ class Rule:
         hint: str | None = None,
     ) -> Finding:
         """Build a finding anchored at *node*."""
-        return Finding(
-            rule=self.id,
-            severity=self.severity,
-            path=ctx.rel,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-            hint=self.hint if hint is None else hint,
-            text=ctx.source_text(node),
+        return self.finding_at(
+            ctx.rel, node, message, ctx.source_text(node), hint
         )
-
-
-class ProgramRule(Rule):
-    """Base class for whole-program (interprocedural) rules.
-
-    Unlike a :class:`Rule`, which sees one file, a program rule runs
-    once per lint invocation over a :class:`ProgramContext` carrying
-    the project-wide symbol table and call graph.  Findings still
-    anchor to a file and line, so severities, suppressions, baselines,
-    and ``--json`` all work unchanged.
-
-    Precision caveat: the program is *what was scanned*.  Linting a
-    subtree gives the rule a partial call graph; unresolved calls are
-    treated as unknown, never guessed at.
-    """
-
-    tier: str = "interprocedural"
-
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        return iter(())  # program rules do not run per file
-
-    def check_program(self, ctx: "ProgramContext") -> Iterator[Finding]:
-        """Yield findings over the whole program."""
-        raise NotImplementedError
 
     def finding_at(
         self,
@@ -192,14 +161,38 @@ class ProgramRule(Rule):
         )
 
 
+class ProgramRule(Rule):
+    """Base class for whole-program (interprocedural) rules.
+
+    Unlike a :class:`Rule`, which sees one file, a program rule runs
+    once per lint invocation over a :class:`ProgramContext` carrying
+    the project-wide symbol table and call graph.  Findings still
+    anchor to a file and line, so severities, suppressions, and
+    ``--json`` all work unchanged.
+
+    Precision caveat: the program is *what was scanned*.  Linting a
+    subtree gives the rule a partial call graph; unresolved calls are
+    treated as unknown, never guessed at.
+    """
+
+    tier: str = "interprocedural"
+
+    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+        return iter(())  # program rules do not run per file
+
+    def check_program(self, ctx: "ProgramContext") -> Iterator[Finding]:
+        """Yield findings over the whole program."""
+        raise NotImplementedError
+
+
 @dataclass
 class ProgramContext:
     """Everything a :class:`ProgramRule` needs for one run.
 
     ``program`` and ``callgraph`` are built once by the engine and
     shared by every program rule; both come from
-    :mod:`repro.lint.callgraph`.  Derived models (the concurrency
-    model, materialized dtype scopes, the hot-path model) are built on
+    :mod:`repro.lint.callgraph`.  Derived models (the context
+    models, the unit and dtype scopes, the hot-path model) are built on
     first use through :meth:`shared` and reused by every rule in the
     invocation, so running the full rule set costs one construction of
     each model rather than one per rule.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import FunctionInfo, ModuleInfo, Program
+from repro.lint.callgraph import FunctionInfo, ModuleInfo, Program, nested_defs
 from repro.lint.dataflow import FunctionDataflow
 from repro.lint.rules.base import (
     Finding,
@@ -36,6 +36,7 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
+from repro.lint.rules.seed001_provenance import RNG_CONSTRUCTORS
 
 #: Constructors whose result is a *process* pool (pickling boundary).
 _POOL_CONSTRUCTORS = frozenset(
@@ -53,18 +54,6 @@ _SUBMIT_METHODS = frozenset(
     {"submit", "map", "apply", "apply_async", "imap", "imap_unordered",
      "starmap", "starmap_async", "map_async"}
 )
-
-#: Constructors whose result is a live RNG object.
-_RNG_CONSTRUCTORS = frozenset(
-    {
-        "random.Random",
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "numpy.random.Generator",
-        "repro.rng.RandomStream",
-    }
-)
-
 
 @register
 class WorkerBoundaryRule(ProgramRule):
@@ -127,18 +116,11 @@ class WorkerBoundaryRule(ProgramRule):
     def _check_function(
         self, program: Program, info: FunctionInfo, module: ModuleInfo
     ) -> Iterator[Finding]:
-        flow = FunctionDataflow(
-            info.node, module_constants=module.module_level_names
-        )
+        flow = FunctionDataflow(info.node, program.bindings(module, info))
         pools = self._pool_names(module, flow)
         if not pools:
             return
-        nested_defs = {
-            n.name
-            for n in ast.walk(info.node)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and n is not info.node
-        }
+        nested = nested_defs(info.node.body)
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
@@ -154,7 +136,7 @@ class WorkerBoundaryRule(ProgramRule):
                 continue
             target, *payload = node.args
             yield from self._check_callable(
-                info, module, flow, node, target, nested_defs
+                info, module, flow, node, target, nested
             )
             for arg in payload + [
                 kw.value for kw in node.keywords if kw.value is not None
@@ -170,7 +152,7 @@ class WorkerBoundaryRule(ProgramRule):
         flow: FunctionDataflow,
         site: ast.Call,
         target: ast.expr,
-        nested_defs: set[str],
+        nested: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
     ) -> Iterator[Finding]:
         if isinstance(target, ast.Lambda):
             yield self.finding_at(
@@ -194,7 +176,7 @@ class WorkerBoundaryRule(ProgramRule):
                 )
             return
         if isinstance(target, ast.Name):
-            if target.id in nested_defs:
+            if target.id in nested:
                 yield self.finding_at(
                     module.rel,
                     site,
@@ -233,7 +215,7 @@ class WorkerBoundaryRule(ProgramRule):
             )
         if isinstance(arg, ast.Call):
             resolved = module.imports.resolve(arg.func)
-            if resolved in _RNG_CONSTRUCTORS:
+            if resolved in RNG_CONSTRUCTORS:
                 return (
                     f"a live RNG ({resolved}){suffix} crosses the worker "
                     "boundary — parent and worker would draw identical "
@@ -244,7 +226,7 @@ class WorkerBoundaryRule(ProgramRule):
                     f"an open file handle{suffix} cannot cross the "
                     "process boundary"
                 )
-            instantiated = program.instantiated_class(module, arg)
+            instantiated = program.class_of(module, arg.func)
             if (
                 instantiated is not None
                 and instantiated.is_dataclass

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.lint.callgraph import ContextModel
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -41,7 +42,14 @@ from repro.lint.rules.base import (
     has_segment,
     register,
 )
-from repro.lint.threadflow import AttributeUse, ConcurrencyModel, analyze_class
+from repro.lint.threadflow import (
+    EVENT_CONSTRUCTORS,
+    LOCK_CONSTRUCTORS,
+    AttributeUse,
+    ClassConcurrency,
+    ConcurrencyModel,
+    analyze_class,
+)
 
 
 def in_scope(rel: str) -> bool:
@@ -50,9 +58,21 @@ def in_scope(rel: str) -> bool:
     return has_segment(rel, "repro") and not has_segment(rel, "tests")
 
 
+def concurrency_model(ctx: ProgramContext) -> ConcurrencyModel:
+    """The shared per-run thread/signal context model."""
+    return ctx.shared(
+        "concurrency-model",
+        lambda: ConcurrencyModel(ctx.program, ctx.callgraph),
+    )
+
+
 @register
 class SharedStateRule(ProgramRule):
-    """Cross-context compound mutation needs a lock or an Event."""
+    """Cross-context compound mutation needs a lock or an Event.
+
+    ASYNC003 runs the same check over the event-loop model; the class
+    attributes below are the only differences.
+    """
 
     id = "CONC002"
     title = "shared state mutated across concurrency contexts"
@@ -69,28 +89,34 @@ class SharedStateRule(ProgramRule):
         "a threading.Event, or restructure to a single plain store "
         "(atomic flag) — see ShutdownHandler for the sanctioned patterns"
     )
+    #: Attributes built from these carry their own discipline.
+    exempt_constructors = LOCK_CONSTRUCTORS | EVENT_CONSTRUCTORS
+    #: A context one side of a conflicting pair must involve (None: any).
+    crossing: str | None = None
+    #: How the message names the mutating side's context set.
+    context_word = "context"
+    #: The message's closing explanation.
+    consequence = "the read-modify-write is not atomic under the GIL"
+
+    def model(self, ctx: ProgramContext) -> ContextModel:
+        return concurrency_model(ctx)
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        model = ctx.shared(
-            "concurrency-model",
-            lambda: ConcurrencyModel(program, ctx.callgraph),
-        )
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
+        model = self.model(ctx)
+        for module in ctx.program.modules_where(in_scope):
             for class_name in sorted(module.classes):
                 facts = analyze_class(module, module.classes[class_name])
-                yield from self._check_class(model, module, facts)
+                yield from self._check_class(model, facts)
 
-    def _check_class(self, model, module, facts) -> Iterator[Finding]:
-        exempt = facts.lock_attrs | facts.event_attrs
+    def _check_class(
+        self, model: ContextModel, facts: ClassConcurrency
+    ) -> Iterator[Finding]:
+        exempt = facts.built_by(self.exempt_constructors)
         by_attr: dict[str, list[AttributeUse]] = {}
         for use in facts.uses:
             if use.method.qualname.endswith(".__init__"):
                 # Pre-publication: __init__ completes before the object
-                # can be handed to Thread(target=...), so its writes
+                # can be handed to another context, so its writes
                 # neither race nor witness a conflicting context.
                 continue
             if use.attr not in exempt:
@@ -101,6 +127,8 @@ class SharedStateRule(ProgramRule):
                 use.method.qualname: model.contexts_of(use.method.qualname)
                 for use in uses
             }
+            if not any(contexts.values()):
+                continue  # no concurrent context touches this attr
             for use in uses:
                 if not use.is_hazard or use.held_locks:
                     continue
@@ -110,21 +138,26 @@ class SharedStateRule(ProgramRule):
                         u
                         for u in uses
                         if contexts[u.method.qualname] != mine
+                        and (
+                            self.crossing is None
+                            or self.crossing
+                            in (mine | contexts[u.method.qualname])
+                        )
                     ),
                     None,
                 )
                 if other is None:
                     continue
                 yield self.finding_at(
-                    module.rel,
+                    facts.module.rel,
                     use.node,
                     f"{use.method.qualname}() mutates self.{attr} "
-                    f"({_KINDS[use.kind]}) in context "
-                    f"{_ctx(mine)}, but "
+                    f"({_KINDS[use.kind]}) in {self.context_word} "
+                    f"{model.describe(mine)}, but "
                     f"{other.method.qualname}() touches it in context "
-                    f"{_ctx(contexts[other.method.qualname])} — the "
-                    "read-modify-write is not atomic under the GIL",
-                    source_line=module.source_text(use.node),
+                    f"{model.describe(contexts[other.method.qualname])} — "
+                    f"{self.consequence}",
+                    source_line=facts.module.source_text(use.node),
                 )
 
 
@@ -134,7 +167,3 @@ _KINDS = {
     "substore": "subscript store",
     "rmw": "self-referencing reassignment",
 }
-
-
-def _ctx(contexts: frozenset[str]) -> str:
-    return "{" + (", ".join(sorted(contexts)) or "main only") + "}"

@@ -31,15 +31,15 @@ import ast
 import re
 from typing import Iterator
 
-from repro.lint.callgraph import FunctionInfo, ModuleInfo
+from repro.lint.callgraph import FunctionInfo, ModuleInfo, last_name
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import ConcurrencyModel, is_lock_expr
-from repro.lint.rules.conc002_shared_state import in_scope
+from repro.lint.threadflow import is_lock_expr
+from repro.lint.rules.conc002_shared_state import concurrency_model, in_scope
 
 #: Canonical dotted names that are I/O, blocking, or allocation-heavy.
 _DENIED_DOTTED = {
@@ -75,11 +75,8 @@ _LOGGER_NAME_RE = re.compile(r"(?i)^_?log(ger)?$")
 
 
 def _is_logger_receiver(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.Name):
-        return bool(_LOGGER_NAME_RE.match(expr.id))
-    if isinstance(expr, ast.Attribute):
-        return bool(_LOGGER_NAME_RE.match(expr.attr))
-    return False
+    name = last_name(expr)
+    return name is not None and bool(_LOGGER_NAME_RE.match(name))
 
 
 @register
@@ -104,10 +101,7 @@ class SignalSafetyRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program = ctx.program
-        model = ctx.shared(
-            "concurrency-model",
-            lambda: ConcurrencyModel(program, ctx.callgraph),
-        )
+        model = concurrency_model(ctx)
         for fn in model.signal_functions():
             if not in_scope(fn.rel):
                 continue

@@ -84,10 +84,7 @@ class LockDisciplineRule(ProgramRule):
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program = ctx.program
         pair_sites: dict[tuple[str, str], tuple[str, ast.AST, str]] = {}
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
+        for module in program.modules_where(in_scope):
             lock_names = self._constructed_locks(module)
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Call):

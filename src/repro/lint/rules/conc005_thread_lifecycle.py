@@ -31,17 +31,15 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ModuleInfo, Program
+from repro.lint.callgraph import ModuleInfo, last_name
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import DEADLINE_NAME_RE
+from repro.lint.threadflow import DEADLINE_NAME_RE, THREAD_CONSTRUCTORS
 from repro.lint.rules.conc002_shared_state import in_scope
-
-_THREAD_CONSTRUCTORS = frozenset({"threading.Thread", "threading.Timer"})
 
 #: Calls returning wall-clock time (non-monotonic).
 _WALL_CALLS = frozenset(
@@ -59,11 +57,7 @@ def _deadline_names_in(node: ast.AST, *, skip: ast.AST | None = None) -> bool:
     for sub in ast.walk(node):
         if sub is skip:
             continue
-        name = None
-        if isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute):
-            name = sub.attr
+        name = last_name(sub)
         if name is not None and DEADLINE_NAME_RE.search(name):
             return True
     return False
@@ -97,11 +91,7 @@ class ThreadLifecycleRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program: Program = ctx.program  # type: ignore[assignment]
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
+        for module in ctx.program.modules_where(in_scope):
             yield from self._check_module(module)
 
     def _check_module(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -137,7 +127,7 @@ class ThreadLifecycleRule(ProgramRule):
         ]
         joined, daemonized = self._lifecycle_names(body)
         for call in scope_calls:
-            if module.imports.resolve(call.func) not in _THREAD_CONSTRUCTORS:
+            if module.imports.resolve(call.func) not in THREAD_CONSTRUCTORS:
                 continue
             if self._daemon_kw(call):
                 continue

@@ -131,14 +131,12 @@ class ExceptionContractRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program: Program = ctx.program  # type: ignore[assignment]
-        for rel in sorted(program.modules):
-            if not self.applies(rel):
-                continue
-            module = program.modules[rel]
-            yield from self._check_module(program, module)
+        trusted = self._error_tree(program)
+        for module in program.modules_where(self.applies):
+            yield from self._check_module(program, module, trusted)
 
     def _check_module(
-        self, program: Program, module: ModuleInfo
+        self, program: Program, module: ModuleInfo, trusted: set[str]
     ) -> Iterator[Finding]:
         module_level_raises = {
             id(node)
@@ -157,7 +155,11 @@ class ExceptionContractRule(ProgramRule):
                 continue  # bare re-raise
             target = exc.func if isinstance(exc, ast.Call) else exc
             verdict = self._classify(
-                program, module, target, at_module_level=id(node) in module_level_raises
+                program,
+                module,
+                target,
+                trusted,
+                at_module_level=id(node) in module_level_raises,
             )
             if verdict is not None:
                 yield self.finding_at(
@@ -172,6 +174,7 @@ class ExceptionContractRule(ProgramRule):
         program: Program,
         module: ModuleInfo,
         target: ast.expr,
+        trusted: set[str],
         at_module_level: bool,
     ) -> str | None:
         """A finding message when the raise breaks the contract."""
@@ -185,7 +188,7 @@ class ExceptionContractRule(ProgramRule):
                 return None
             hit = program.classes.get(dotted)
             if hit is not None:
-                if hit.qualname in self._tree_cache(program):
+                if hit.qualname in trusted:
                     return None
                 return (
                     f"{hit.name} is raised on the campaign path but does "
@@ -194,7 +197,7 @@ class ExceptionContractRule(ProgramRule):
         # Module-local class.
         if name is not None and name in module.classes:
             qualname = f"{module.modname}.{name}"
-            if qualname in self._tree_cache(program):
+            if qualname in trusted:
                 return None
             return (
                 f"{name} is raised on the campaign path but does not "
@@ -215,12 +218,3 @@ class ExceptionContractRule(ProgramRule):
         # A variable, attribute, or unresolvable expression: re-raise
         # patterns — unknown, never guessed (soundness limit).
         return None
-
-    # The closure is program-wide; memoize it per program object.
-
-    _cache: tuple[int, set[str]] | None = None
-
-    def _tree_cache(self, program: Program) -> set[str]:
-        if self._cache is None or self._cache[0] != id(program):
-            self._cache = (id(program), self._error_tree(program))
-        return self._cache[1]

@@ -34,7 +34,6 @@ from repro.lint.dtypeflow import (
     DType,
     DtypeScope,
     astype_target,
-    iter_kernel_scopes,
     promote_info,
 )
 from repro.lint.rules.base import (
@@ -44,32 +43,7 @@ from repro.lint.rules.base import (
     register,
 )
 from repro.lint.rules.perf001_hot_loop import hot_path_model, in_scope
-
-
-def dtype_scope_map(ctx: ProgramContext) -> dict[str, DtypeScope]:
-    """Shared qualname -> :class:`DtypeScope` map for the perf pack.
-
-    Layered on the ``kernel-dtype-scopes`` list the VEC rules share,
-    so the dtypeflow interpretation pass runs once per lint run no
-    matter how many rules consume it.
-    """
-
-    def build() -> dict[str, DtypeScope]:
-        kernel_scopes = ctx.shared(
-            "kernel-dtype-scopes",
-            lambda: list(iter_kernel_scopes(ctx.program)),
-        )
-        scopes: dict[str, DtypeScope] = {}
-        for module, fn, _body, scope in kernel_scopes:
-            key = (
-                fn.qualname
-                if fn is not None
-                else f"{module.modname}.<module>"
-            )
-            scopes[key] = scope
-        return scopes
-
-    return ctx.shared("perf-dtype-scopes", build)
+from repro.lint.rules.vec001_narrowing import dtype_scopes
 
 
 @register
@@ -96,7 +70,10 @@ class DtypeChurnRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         model = hot_path_model(ctx)
-        scopes = dtype_scope_map(ctx)
+        scopes = ctx.shared(
+            "dtype-scopes-by-qualname",
+            lambda: {s.qualname: d for s, d in dtype_scopes(ctx)},
+        )
         for loop in model.hot_loops():
             if not in_scope(loop.module.rel) or loop.chunked:
                 continue

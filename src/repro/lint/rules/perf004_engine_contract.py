@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ModuleInfo
+from repro.lint.callgraph import FunctionInfo, ModuleInfo, named_args
 from repro.lint.perfflow import engine_guard
 from repro.lint.rules.base import (
     Finding,
@@ -61,28 +61,22 @@ class EngineContractRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        for qualname in sorted(program.classes):
-            cls = program.classes[qualname]
-            module = program.modules.get(cls.rel)
-            if module is None or not in_scope(module.rel):
-                continue
-            for method_name in sorted(cls.methods):
-                if method_name not in _SIMULATE_NAMES:
-                    continue
-                yield from self._check_method(
-                    module, qualname, cls.methods[method_name]
-                )
+        for module, fn, _qualname, _body in ctx.program.scopes():
+            if (
+                fn is not None
+                and fn.name in _SIMULATE_NAMES
+                and fn.class_name is not None
+                and in_scope(module.rel)
+            ):
+                yield from self._check_method(module, fn)
 
     def _check_method(
-        self, module: ModuleInfo, class_qual: str, method
+        self, module: ModuleInfo, method: FunctionInfo
     ) -> Iterator[Finding]:
         node = method.node
-        owner = class_qual.rsplit(".", 1)[-1]
-        what = f"{owner}.{node.name}"
+        what = f"{method.class_name}.{node.name}"
         args = node.args
-        named = args.posonlyargs + args.args + args.kwonlyargs
-        if not any(a.arg == "engine" for a in named):
+        if not any(a.arg == "engine" for a in named_args(node)):
             if args.kwarg is not None or args.vararg is not None:
                 return  # the knob may arrive through **kwargs: UNKNOWN
             yield self.finding_at(

@@ -31,7 +31,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import CallGraph, FunctionInfo, ModuleInfo, Program
+from repro.lint.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    ModuleInfo,
+    Program,
+    named_args,
+)
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -124,14 +130,7 @@ class ObservationPurityRule(ProgramRule):
     def _check_function(
         self, info: FunctionInfo, module: ModuleInfo
     ) -> Iterator[Finding]:
-        local_names = {
-            a.arg
-            for a in (
-                info.node.args.posonlyargs
-                + info.node.args.args
-                + info.node.args.kwonlyargs
-            )
-        }
+        local_names = {a.arg for a in named_args(info.node)}
         # Locally bound names shadow module-level ones for the
         # container-mutation check.
         local_names.update(

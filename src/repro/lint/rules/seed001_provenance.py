@@ -46,8 +46,9 @@ from repro.lint.rules.base import (
     register,
 )
 
-#: RNG constructors whose seed argument SEED001 traces.
-_RNG_CONSTRUCTORS = frozenset(
+#: RNG constructors whose seed argument SEED001 traces (and whose live
+#: objects CONC001 keeps from crossing the worker boundary).
+RNG_CONSTRUCTORS = frozenset(
     {
         "random.Random",
         "numpy.random.default_rng",
@@ -105,9 +106,7 @@ class SeedProvenanceRule(ProgramRule):
             module = program.modules.get(info.rel)
             if module is None:
                 continue
-            flow = FunctionDataflow(
-                info.node, module_constants=module.module_level_names
-            )
+            flow = FunctionDataflow(info.node, program.bindings(module, info))
             yield from self._check_dropped(info, flow, module)
             yield from self._check_shadowed(info, flow, module)
             yield from self._check_constructions(info, flow, module)
@@ -155,7 +154,7 @@ class SeedProvenanceRule(ProgramRule):
     ) -> ast.expr | None:
         """The seed expression of an RNG construction (None otherwise)."""
         name = module.imports.resolve(call.func)
-        if name not in _RNG_CONSTRUCTORS:
+        if name not in RNG_CONSTRUCTORS:
             return None
         for kw in call.keywords:
             if kw.arg in ("seed", "seed_seq"):

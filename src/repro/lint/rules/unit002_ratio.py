@@ -19,20 +19,20 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ModuleInfo, Program
+from repro.lint.callgraph import ModuleInfo
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
     register,
 )
+from repro.lint.rules.unit001_mixed import unit_scopes
 from repro.lint.unitflow import (
     UnitScope,
     UnitValue,
     is_kilo_literal,
     is_known,
     is_units_module,
-    iter_scopes,
 )
 
 #: (numerator, denominator) unit pairs that must go through repro.units.
@@ -63,11 +63,9 @@ class MalformedRatioRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
+        for (module, _fn, _qualname, body), scope in unit_scopes(ctx):
             if is_units_module(module.rel):
                 continue  # the one sanctioned definition site
-            scope = UnitScope(program, module, function, body)
             nodes = [node for stmt in body for node in ast.walk(stmt)]
             flagged: set[int] = set()
             for node in nodes:

@@ -24,7 +24,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ClassInfo, FunctionInfo, ModuleInfo, Program
+from repro.lint.callgraph import (
+    ClassInfo,
+    FunctionInfo,
+    ModuleInfo,
+    Program,
+    named_args,
+)
 from repro.lint.dataflow import argument_for_param
 from repro.lint.rules.base import (
     Finding,
@@ -32,12 +38,12 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
+from repro.lint.rules.unit001_mixed import unit_scopes
 from repro.lint.unitflow import (
     UnitScope,
     UnitValue,
     annotation_unit,
     is_known,
-    iter_scopes,
     name_unit,
 )
 
@@ -78,8 +84,7 @@ class CallBoundaryUnitRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
-            scope = UnitScope(program, module, function, body)
+        for (module, function, _qualname, body), scope in unit_scopes(ctx):
             for stmt in body:
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
@@ -112,10 +117,9 @@ class CallBoundaryUnitRule(ProgramRule):
         params = callee.params()
         if callee.is_method and params[:1] in (["self"], ["cls"]):
             params = params[1:]
-        args = callee.node.args
         annotations = {
             arg.arg: annotation_unit(arg.annotation, callee_module)
-            for arg in args.posonlyargs + args.args + args.kwonlyargs
+            for arg in named_args(callee.node)
         }
         for param in params:
             declared = annotations.get(param, UnitValue.UNKNOWN)
@@ -145,7 +149,7 @@ class CallBoundaryUnitRule(ProgramRule):
         scope: UnitScope,
         call: ast.Call,
     ):
-        cls_info = program.instantiated_class(module, call)
+        cls_info = program.class_of(module, call.func)
         if cls_info is None or not cls_info.is_dataclass:
             return
         cls_module = program.modules.get(cls_info.rel)

@@ -31,8 +31,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.callgraph import Scope
 from repro.lint.dtypeflow import (
     DType,
+    DtypeScope,
     _DTYPE_DOTTED,
     astype_target,
     iter_kernel_scopes,
@@ -50,6 +52,14 @@ from repro.lint.rules.base import (
 def in_scope(rel: str) -> bool:
     """The dtype contract binds the vectorized kernels in ``uarch/``."""
     return has_segment(rel, "uarch")
+
+
+def dtype_scopes(ctx: ProgramContext) -> list[tuple[Scope, DtypeScope]]:
+    """Every scope with its :class:`DtypeScope`, built once per run and
+    shared by the VEC and PERF rules."""
+    return ctx.shared(
+        "dtype-scopes", lambda: list(iter_kernel_scopes(ctx.program))
+    )
 
 
 @register
@@ -73,11 +83,7 @@ class NarrowingCastRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        scopes = ctx.shared(
-            "kernel-dtype-scopes", lambda: list(iter_kernel_scopes(program))
-        )
-        for module, _fn, body, scope in scopes:
+        for (module, _fn, _qualname, body), scope in dtype_scopes(ctx):
             if not in_scope(module.rel):
                 continue
             for stmt in body:

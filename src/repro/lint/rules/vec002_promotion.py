@@ -35,7 +35,6 @@ from repro.lint.dtypeflow import (
     INT_DTYPES,
     WIDTH,
     _interval_binop,
-    iter_kernel_scopes,
     promote_info,
 )
 from repro.lint.rules.base import (
@@ -44,7 +43,7 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
-from repro.lint.rules.vec001_narrowing import in_scope
+from repro.lint.rules.vec001_narrowing import dtype_scopes, in_scope
 
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.LShift)
 
@@ -70,11 +69,7 @@ class PromotionDivergenceRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        scopes = ctx.shared(
-            "kernel-dtype-scopes", lambda: list(iter_kernel_scopes(program))
-        )
-        for module, _fn, body, scope in scopes:
+        for (module, _fn, _qualname, body), scope in dtype_scopes(ctx):
             if not in_scope(module.rel):
                 continue
             for stmt in body:

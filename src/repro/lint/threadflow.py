@@ -7,24 +7,21 @@ submitted to thread pools.  Code reachable from those entry points runs
 interleaved with the main context, so the shared-state and lock rules
 need to know, per function, *which contexts can execute it*.
 
-This module builds that view over the PR-4 call graph:
-
-* :func:`find_entry_points` — every statically resolvable concurrent
-  entry: ``threading.Thread(target=...)`` / ``threading.Timer``
-  targets, ``signal.signal(...)`` handlers, and callables submitted to
-  a ``ThreadPoolExecutor``.  Targets resolve through the import table,
-  the enclosing class (``self._handle``), and one level of local
-  dataflow (``handler.request`` where ``handler = ShutdownHandler()``).
-  A *nested* function passed as a target cannot be indexed by the
-  program symbol table; its body is kept as a context *region* and its
-  resolvable calls seed reachability directly.
-* :class:`ConcurrencyModel` — static-edge reachability from those
-  entries.  ``contexts_of(qualname)`` answers with a subset of
-  ``{"thread", "signal"}``; the empty set means "main context only, as
-  far as the analysis can prove".  Dynamic (name-match) edges are
-  excluded: an over-approximated context would manufacture false
-  cross-context findings, and the CONC rules inherit the lint
-  subsystem's UNKNOWN-never-flags contract.
+:class:`ConcurrencyModel` builds that view: a
+:class:`~repro.lint.callgraph.ContextModel` whose entries are every
+statically resolvable ``threading.Thread(target=...)`` /
+``threading.Timer`` target, ``signal.signal(...)`` handler, and
+callable submitted to a ``ThreadPoolExecutor``.  Targets resolve with
+the shared :meth:`~repro.lint.callgraph.Program.resolve_callable`
+(imports, the enclosing class, a local holding a single construction
+such as ``handler = ShutdownHandler()``); a *nested* function passed as
+a target is kept as a context *region* whose resolvable calls seed
+reachability.  ``contexts_of(qualname)`` answers with a subset of
+``{"thread", "signal"}``; the empty set means "main context only, as
+far as the analysis can prove".  Dynamic (name-match) edges are
+excluded: an over-approximated context would manufacture false
+cross-context findings, and the CONC rules inherit the lint
+subsystem's UNKNOWN-never-flags contract.
 
 The model also centralizes the small lexicons the rules share: what
 counts as a lock object, an Event, a mutating method, or a
@@ -39,20 +36,18 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lint.callgraph import (
-    CallGraph,
     ClassInfo,
+    ContextModel,
     FunctionInfo,
     ModuleInfo,
+    NestedRegion,
     Program,
+    last_name,
+    self_attr,
 )
-from repro.lint.dataflow import FunctionDataflow
-
-#: The concurrent execution contexts the model distinguishes.  "main"
-#: is implicit: a function in neither set only runs in the main thread.
-CONTEXTS = ("thread", "signal")
 
 #: Constructors whose result runs a callable in a new thread.
-_THREAD_CONSTRUCTORS = frozenset({"threading.Thread", "threading.Timer"})
+THREAD_CONSTRUCTORS = frozenset({"threading.Thread", "threading.Timer"})
 
 #: Constructors whose result is a *thread* pool (shared memory).  The
 #: process-pool boundary is CONC001's business — workers there share
@@ -108,293 +103,72 @@ def is_lock_expr(module: ModuleInfo, expr: ast.expr) -> bool:
     """Whether *expr* provably denotes a lock (constructor or lexicon)."""
     if isinstance(expr, ast.Call):
         return module.imports.resolve(expr.func) in LOCK_CONSTRUCTORS
-    if isinstance(expr, ast.Attribute):
-        return bool(LOCK_NAME_RE.search(expr.attr))
-    if isinstance(expr, ast.Name):
-        return bool(LOCK_NAME_RE.search(expr.id))
-    return False
+    name = last_name(expr)
+    return name is not None and bool(LOCK_NAME_RE.search(name))
 
 
 def lock_key(expr: ast.expr) -> str:
     """Stable identity of a lock expression (``self._lock``, ``a_lock``)."""
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on exprs
-        return f"<lock@{getattr(expr, 'lineno', 0)}>"
+    return ast.unparse(expr)
 
 
-@dataclass(frozen=True)
-class EntryPoint:
-    """One resolved concurrent entry: context plus where it was bound."""
+def _is_thread_pool(
+    program: Program, module: ModuleInfo, fn: FunctionInfo | None, name: str
+) -> bool:
+    """Whether *name* is bound to a thread pool in the scope (a plain
+    single-target assignment or a ``with ... as name``)."""
+    return any(
+        not b.unpacked
+        and (b.kind == "with" or (b.kind == "assign" and len(b.node.targets) == 1))
+        and isinstance(b.value, ast.Call)
+        and module.imports.resolve(b.value.func) in _THREAD_POOL_CONSTRUCTORS
+        for b in program.bindings(module, fn).get(name, ())
+    )
 
-    context: str  # "thread" | "signal"
-    qualname: str  # resolved target function, or "" for a nested region
-    rel: str
-    line: int
 
+class ConcurrencyModel(ContextModel):
+    """Which concurrent contexts can execute each function.
 
-@dataclass
-class NestedRegion:
-    """A nested ``def`` used as a thread target or signal handler.
-
-    The symbol table does not index nested functions, so the region
-    keeps the defining module/function and the AST node; rules walk the
-    body directly and reachability seeds from its resolvable calls.
+    Entries are statically resolvable ``threading.Thread``/``Timer``
+    targets, ``signal.signal`` handlers, and thread-pool submissions;
+    reachability follows static call-graph edges only.
     """
 
-    context: str
-    module: ModuleInfo
-    enclosing: FunctionInfo | None
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    #: "main" is implicit: a function in neither context only runs in
+    #: the main thread.
+    CONTEXTS = ("thread", "signal")
+    OUTSIDE = "main only"
 
-
-def _local_instance_class(
-    program: Program,
-    module: ModuleInfo,
-    flow: FunctionDataflow | None,
-    name: str,
-) -> ClassInfo | None:
-    """Class of a local provably holding one instantiation, else None."""
-    if flow is None:
-        return None
-    values = flow.assignments.get(name, [])
-    classes = [
-        cls
-        for v in values
-        if isinstance(v, ast.Call)
-        and (cls := program.instantiated_class(module, v)) is not None
-    ]
-    if len(classes) == 1 and len(values) == 1:
-        return classes[0]
-    return None
-
-
-def _resolve_callable(
-    program: Program,
-    module: ModuleInfo,
-    scope_fn: FunctionInfo | None,
-    flow: FunctionDataflow | None,
-    nested: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-    expr: ast.expr,
-) -> tuple[list[FunctionInfo], ast.FunctionDef | ast.AsyncFunctionDef | None]:
-    """Resolve a callable expression to ``(functions, nested_def)``."""
-    # functools.partial(fn, ...) — unwrap to the wrapped callable.
-    if isinstance(expr, ast.Call):
-        dotted = module.imports.resolve(expr.func)
-        if dotted in ("functools.partial", "partial") and expr.args:
-            return _resolve_callable(
-                program, module, scope_fn, flow, nested, expr.args[0]
-            )
-        return [], None
-    if isinstance(expr, ast.Name):
-        if expr.id in nested:
-            return [], nested[expr.id]
-        dotted = module.imports.resolve(expr)
-        if dotted is not None:
-            hit = program.resolve_dotted(dotted)
-            if isinstance(hit, FunctionInfo):
-                return [hit], None
-        local = module.functions.get(expr.id)
-        if local is not None:
-            return [local], None
-        return [], None
-    if isinstance(expr, ast.Attribute):
-        dotted = module.imports.resolve(expr)
-        if dotted is not None:
-            hit = program.resolve_dotted(dotted)
-            if isinstance(hit, FunctionInfo):
-                return [hit], None
-            return [], None
-        base = expr.value
-        if isinstance(base, ast.Name):
-            if (
-                base.id in ("self", "cls")
-                and scope_fn is not None
-                and scope_fn.class_name is not None
-            ):
-                owner = module.classes.get(scope_fn.class_name)
-                if owner is not None:
-                    method = program.resolve_method(owner, expr.attr)
-                    if method is not None:
-                        return [method], None
-                return [], None
-            owner = _local_instance_class(program, module, flow, base.id)
-            if owner is not None:
-                method = program.resolve_method(owner, expr.attr)
-                if method is not None:
-                    return [method], None
-    return [], None
-
-
-def _scope_bodies(
-    module: ModuleInfo,
-) -> Iterator[tuple[FunctionInfo | None, list[ast.stmt]]]:
-    """The module's top level plus every indexed function body."""
-    top_level = [
-        stmt
-        for stmt in module.tree.body
-        if not isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
-    ]
-    yield None, top_level
-    for name in sorted(module.functions):
-        yield module.functions[name], list(module.functions[name].node.body)
-    for class_name in sorted(module.classes):
-        cls_info = module.classes[class_name]
-        for method_name in sorted(cls_info.methods):
-            method = cls_info.methods[method_name]
-            yield method, list(method.node.body)
-
-
-def _thread_pool_names(module: ModuleInfo, body: list[ast.stmt]) -> set[str]:
-    """Local names provably bound to a thread pool in this scope."""
-    names: set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            value: ast.expr | None = None
-            target: ast.expr | None = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                target, value = node.optional_vars, node.context_expr
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(value, ast.Call)
-                and module.imports.resolve(value.func)
-                in _THREAD_POOL_CONSTRUCTORS
-            ):
-                names.add(target.id)
-    return names
-
-
-def find_entry_points(
-    program: Program,
-) -> tuple[list[EntryPoint], list[NestedRegion]]:
-    """Every resolvable concurrent entry point in the program."""
-    entries: list[EntryPoint] = []
-    regions: list[NestedRegion] = []
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        for scope_fn, body in _scope_bodies(module):
-            flow = (
-                FunctionDataflow(
-                    scope_fn.node, module_constants=module.module_level_names
-                )
-                if scope_fn is not None
-                else None
-            )
-            nested = {
-                n.name: n
-                for stmt in body
-                for n in ast.walk(stmt)
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            pools = _thread_pool_names(module, body)
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    context, target = _entry_of_call(module, pools, node)
-                    if target is None:
-                        continue
-                    fns, nested_def = _resolve_callable(
-                        program, module, scope_fn, flow, nested, target
-                    )
-                    for fn in fns:
-                        entries.append(
-                            EntryPoint(
-                                context=context,
-                                qualname=fn.qualname,
-                                rel=rel,
-                                line=getattr(node, "lineno", 0),
-                            )
-                        )
-                    if nested_def is not None:
-                        regions.append(
-                            NestedRegion(
-                                context=context,
-                                module=module,
-                                enclosing=scope_fn,
-                                node=nested_def,
-                            )
-                        )
-    return entries, regions
-
-
-def _entry_of_call(
-    module: ModuleInfo, pools: set[str], call: ast.Call
-) -> tuple[str, ast.expr | None]:
-    """``(context, target_expr)`` of a call, target None when not one."""
-    dotted = module.imports.resolve(call.func)
-    if dotted in _THREAD_CONSTRUCTORS:
-        for kw in call.keywords:
-            if kw.arg == "target" or (dotted.endswith("Timer") and kw.arg == "function"):
-                return "thread", kw.value
-        # Thread(group, target, ...) / Timer(interval, function, ...).
-        if len(call.args) >= 2:
-            return "thread", call.args[1]
-        return "thread", None
-    if dotted == "signal.signal":
-        if len(call.args) >= 2:
-            return "signal", call.args[1]
-        for kw in call.keywords:
-            if kw.arg == "handler":
-                return "signal", kw.value
-        return "signal", None
-    func = call.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in _SUBMIT_METHODS
-        and isinstance(func.value, ast.Name)
-        and func.value.id in pools
-        and call.args
-    ):
-        return "thread", call.args[0]
-    return "thread", None
-
-
-class ConcurrencyModel:
-    """Which contexts can execute each function, program-wide."""
-
-    def __init__(self, program: Program, callgraph: CallGraph) -> None:
-        self.program = program
-        self.callgraph = callgraph
-        self.entries, self.regions = find_entry_points(program)
-        self._reachable: dict[str, set[str]] = {}
-        for context in CONTEXTS:
-            roots = {
-                e.qualname for e in self.entries if e.context == context
-            }
-            roots |= self._region_roots(context)
-            self._reachable[context] = callgraph.reachable(
-                roots, include_dynamic=False
-            )
-
-    def _region_roots(self, context: str) -> set[str]:
-        """Qualnames called from nested-def regions of one context."""
-        roots: set[str] = set()
-        for region in self.regions:
-            if region.context != context:
-                continue
-            for stmt in region.node.body:
-                for node in ast.walk(stmt):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    targets, dynamic = self.program.resolve_call(
-                        region.module, region.enclosing, node
-                    )
-                    if not dynamic:
-                        roots.update(t.qualname for t in targets)
-        return roots
-
-    def contexts_of(self, qualname: str) -> frozenset[str]:
-        """Concurrent contexts that can execute *qualname* (∅ = main only)."""
-        return frozenset(
-            context
-            for context in CONTEXTS
-            if qualname in self._reachable[context]
-        )
+    def entry_targets(
+        self, module: ModuleInfo, fn: FunctionInfo | None, call: ast.Call
+    ) -> Iterator[tuple[str, ast.expr]]:
+        dotted = module.imports.resolve(call.func)
+        if dotted in THREAD_CONSTRUCTORS:
+            for kw in call.keywords:
+                if kw.arg == "target" or (
+                    dotted.endswith("Timer") and kw.arg == "function"
+                ):
+                    yield "thread", kw.value
+                    return
+            # Thread(group, target, ...) / Timer(interval, function, ...).
+            if len(call.args) >= 2:
+                yield "thread", call.args[1]
+        elif dotted == "signal.signal":
+            if len(call.args) >= 2:
+                yield "signal", call.args[1]
+                return
+            for kw in call.keywords:
+                if kw.arg == "handler":
+                    yield "signal", kw.value
+                    return
+        elif (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in _SUBMIT_METHODS
+            and isinstance(call.func.value, ast.Name)
+            and call.args
+            and _is_thread_pool(self.program, module, fn, call.func.value.id)
+        ):
+            yield "thread", call.args[0]
 
     def signal_functions(self) -> list[FunctionInfo]:
         """Every indexed function reachable from a signal handler."""
@@ -431,23 +205,20 @@ class AttributeUse:
 
 @dataclass
 class ClassConcurrency:
-    """Shared-state facts about one class for CONC002."""
+    """Shared-state facts about one class for CONC002/ASYNC003."""
 
     cls: ClassInfo
     module: ModuleInfo
     uses: list[AttributeUse] = field(default_factory=list)
-    lock_attrs: set[str] = field(default_factory=set)
-    event_attrs: set[str] = field(default_factory=set)
+    #: attr -> canonical names of the constructors assigned to it.
+    constructors: dict[str, set[str]] = field(default_factory=dict)
 
-
-def _self_attr(node: ast.expr) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
+    def built_by(self, constructors: frozenset[str]) -> set[str]:
+        """Attributes assigned from one of *constructors* (a lock, an
+        Event, an asyncio primitive: objects with their own discipline)."""
+        return {
+            attr for attr, made in self.constructors.items() if made & constructors
+        }
 
 
 def _with_lock_keys(node: ast.AST) -> tuple[str, ...]:
@@ -460,7 +231,7 @@ def _with_lock_keys(node: ast.AST) -> tuple[str, ...]:
         if isinstance(current, (ast.With, ast.AsyncWith)):
             for item in current.items:
                 expr = item.context_expr
-                name = _self_attr(expr)
+                name = self_attr(expr)
                 if name is not None and LOCK_NAME_RE.search(name):
                     keys.append(lock_key(expr))
                 elif isinstance(expr, ast.Name) and LOCK_NAME_RE.search(expr.id):
@@ -470,7 +241,8 @@ def _with_lock_keys(node: ast.AST) -> tuple[str, ...]:
 
 
 def analyze_class(module: ModuleInfo, cls: ClassInfo) -> ClassConcurrency:
-    """Collect every ``self.<attr>`` use and the lock/Event attributes."""
+    """Collect every ``self.<attr>`` use and what each attribute is
+    constructed from."""
     facts = ClassConcurrency(cls=cls, module=module)
     for method in cls.methods.values():
         for stmt in method.node.body:
@@ -487,17 +259,15 @@ def _collect_use(
 ) -> None:
     if isinstance(node, ast.Assign):
         for target in node.targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
             if isinstance(node.value, ast.Call):
                 dotted = module.imports.resolve(node.value.func)
-                if dotted in LOCK_CONSTRUCTORS:
-                    facts.lock_attrs.add(attr)
-                if dotted in EVENT_CONSTRUCTORS:
-                    facts.event_attrs.add(attr)
+                if dotted is not None:
+                    facts.constructors.setdefault(attr, set()).add(dotted)
             reads_self = any(
-                _self_attr(n) == attr for n in ast.walk(node.value)
+                self_attr(n) == attr for n in ast.walk(node.value)
             )
             facts.uses.append(
                 AttributeUse(
@@ -510,7 +280,7 @@ def _collect_use(
             )
         return
     if isinstance(node, ast.AugAssign):
-        attr = _self_attr(node.target)
+        attr = self_attr(node.target)
         if attr is not None:
             facts.uses.append(
                 AttributeUse(
@@ -523,7 +293,7 @@ def _collect_use(
             )
         return
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        attr = _self_attr(node.func.value)
+        attr = self_attr(node.func.value)
         if attr is not None and node.func.attr in MUTATING_METHODS:
             facts.uses.append(
                 AttributeUse(
@@ -538,7 +308,7 @@ def _collect_use(
     if isinstance(node, ast.Subscript) and isinstance(
         getattr(node, "ctx", None), (ast.Store, ast.Del)
     ):
-        attr = _self_attr(node.value)
+        attr = self_attr(node.value)
         if attr is not None:
             facts.uses.append(
                 AttributeUse(
@@ -551,7 +321,7 @@ def _collect_use(
             )
         return
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             facts.uses.append(
                 AttributeUse(

@@ -20,8 +20,8 @@ NewTypes, the identifier lexicon (``mean_mpki``, ``n_cycles``), metric
 string keys (``series("mpki")``, ``d["cpi"]``), ``Counter`` enum
 members, the sanctioned constructors (``units.mpki(...)``), and the
 return annotations of statically resolved callees.  Propagation runs
-through the PR-4 def-use chains (:mod:`repro.lint.dataflow` idiom) and
-call-argument bindings.
+through the shared def-use map (:meth:`Program.bindings
+<repro.lint.callgraph.Program.bindings>`) and call-argument bindings.
 
 The arithmetic maps (:func:`add_units`, :func:`mul_units`,
 :func:`div_units`) encode the paper's quantity algebra: cycles divided
@@ -36,14 +36,15 @@ from __future__ import annotations
 import ast
 import enum
 import re
-from typing import Iterator
 
 from repro.lint.callgraph import (
     FunctionInfo,
     ModuleInfo,
     Program,
+    bound_values,
+    last_name,
+    named_args,
 )
-from repro.lint.dataflow import argument_for_param  # noqa: F401  (re-export)
 
 
 class UnitValue(enum.Enum):
@@ -186,6 +187,9 @@ _PASSTHROUGH_CALLS = frozenset(
      "mean", "median", "std", "array", "asarray"}
 )
 
+#: The binding forms unit inference follows (whole-name targets only).
+_UNIT_BINDINGS = frozenset({"assign", "annassign", "augassign", "for", "with"})
+
 #: Methods whose first string argument names the metric being read.
 _METRIC_LOOKUP_METHODS = frozenset({"series", "metric", "mean"})
 
@@ -198,14 +202,6 @@ def name_unit(name: str) -> UnitValue:
     return UnitValue.UNKNOWN
 
 
-def _last_name(expr: ast.expr) -> str | None:
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
 def annotation_unit(expr: ast.expr | None, module: ModuleInfo) -> UnitValue:
     """Unit named by an annotation expression, UNKNOWN when none."""
     if expr is None:
@@ -214,7 +210,7 @@ def annotation_unit(expr: ast.expr | None, module: ModuleInfo) -> UnitValue:
         dotted = module.imports.resolve(expr)
         if dotted in CONSTRUCTOR_UNITS:
             return CONSTRUCTOR_UNITS[dotted]
-        last = _last_name(expr)
+        last = last_name(expr)
         if last in ANNOTATION_UNITS:
             return ANNOTATION_UNITS[last]
         return UnitValue.UNKNOWN
@@ -246,7 +242,7 @@ def _counter_member_unit(expr: ast.expr, module: ModuleInfo) -> UnitValue:
     dotted = module.imports.resolve(base)
     if dotted is not None and dotted.split(".")[-1] != "Counter":
         return UnitValue.UNKNOWN
-    if dotted is None and _last_name(base) != "Counter":
+    if dotted is None and last_name(base) != "Counter":
         return UnitValue.UNKNOWN
     return COUNTER_MEMBER_UNITS[expr.attr]
 
@@ -254,10 +250,11 @@ def _counter_member_unit(expr: ast.expr, module: ModuleInfo) -> UnitValue:
 class UnitScope:
     """Unit inference over one function body or module top level.
 
-    Mirrors :class:`repro.lint.dataflow.FunctionDataflow`: parameters
-    and a flow-insensitive map of local assignments, plus the program
-    symbol table for resolving callee return annotations.  All queries
-    go through :meth:`unit_of`.
+    Parameters, local annotations, and the scope's shared def-use map
+    (:meth:`Program.bindings`, whole-name assignment, augmented, loop
+    and ``with`` bindings), plus the program symbol table for
+    resolving callee return annotations.  All queries go through
+    :meth:`unit_of`.
     """
 
     def __init__(
@@ -273,38 +270,21 @@ class UnitScope:
         self.body = body
         self.param_units: dict[str, UnitValue] = {}
         self.annotated: dict[str, UnitValue] = {}
-        self.assignments: dict[str, list[ast.expr]] = {}
         if function is not None:
-            args = function.node.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            for arg in named_args(function.node):
                 unit = annotation_unit(arg.annotation, module)
                 if unit is not UnitValue.UNKNOWN:
                     self.param_units[arg.arg] = unit
-        for stmt in self._walk_statements():
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._record_target(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    unit = annotation_unit(stmt.annotation, module)
+        bindings = program.bindings(module, function)
+        for name, entries in bindings.items():
+            for binding in entries:
+                if binding.kind == "annassign":
+                    unit = annotation_unit(binding.node.annotation, module)
                     if unit is not UnitValue.UNKNOWN:
-                        self.annotated[stmt.target.id] = unit
-                if stmt.value is not None:
-                    self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._record_target(stmt.target, stmt.iter)
-            elif isinstance(stmt, ast.withitem) and stmt.optional_vars is not None:
-                self._record_target(stmt.optional_vars, stmt.context_expr)
-
-    def _walk_statements(self) -> Iterator[ast.AST]:
-        for stmt in self.body:
-            yield from ast.walk(stmt)
-
-    def _record_target(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            self.assignments.setdefault(target.id, []).append(value)
+                        self.annotated[name] = unit
+        self.assignments: dict[str, list[ast.expr]] = bound_values(
+            bindings, _UNIT_BINDINGS, unpacked=False
+        )
 
     # -- queries -------------------------------------------------------
 
@@ -389,7 +369,7 @@ class UnitScope:
         dotted = self.module.imports.resolve(call.func)
         if dotted in CONSTRUCTOR_UNITS:
             return CONSTRUCTOR_UNITS[dotted]
-        fname = _last_name(call.func)
+        fname = last_name(call.func)
         if (
             fname in _METRIC_LOOKUP_METHODS
             and isinstance(call.func, ast.Attribute)
@@ -435,34 +415,6 @@ class UnitScope:
         if len(targets) == 1:
             return first
         return UnitValue.UNKNOWN
-
-
-def iter_scopes(
-    program: Program,
-) -> Iterator[tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt]]]:
-    """Each function scope plus each module's top level, in stable order.
-
-    Mirrors the call graph's scope decomposition: nested defs are
-    walked within their outermost enclosing function.
-    """
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, top_level
-        for name in sorted(module.functions):
-            info = module.functions[name]
-            yield module, info, list(info.node.body)
-        for class_name in sorted(module.classes):
-            cls_info = module.classes[class_name]
-            for method_name in sorted(cls_info.methods):
-                method = cls_info.methods[method_name]
-                yield module, method, list(method.node.body)
 
 
 def is_units_module(rel: str) -> bool:

@@ -23,8 +23,12 @@ Architecture (the event-loop contract the ASYNC lint tier enforces):
   queue rejects with :class:`~repro.errors.BackpressureError`
   (HTTP 503) instead of queueing unboundedly (ASYNC004).
 * **Drain** — a :class:`~repro.core.supervise.ShutdownHandler` turns
-  SIGINT/SIGTERM into a drain: the listener closes, queued and
+  SIGINT/SIGTERM into a drain: the listener closes, connections that
+  have not sent their request head yet are closed quietly, queued and
   in-flight requests finish, workers join, and the process exits 0.
+* **Errors** — a campaign lookup that fails in any way is answered
+  ``500`` and counted under the ``errors`` metric; only a client that
+  went away goes unanswered.
 
 Endpoints::
 
@@ -54,7 +58,6 @@ from repro.core.supervise import ShutdownHandler
 from repro.errors import (
     BackpressureError,
     ConfigurationError,
-    ReproError,
     WorkloadError,
 )
 from repro.harness.lab import Laboratory, scale_from_env
@@ -399,6 +402,8 @@ class CampaignServer:
         self._shutdown = shutdown
         self._poll_seconds = poll_seconds
         self._server = None
+        #: Head reads in progress -> the connection handler awaiting each.
+        self._reading: dict[asyncio.Task, asyncio.Task] = {}
         self.port: int | None = None
 
     async def start(self) -> None:
@@ -428,9 +433,18 @@ class CampaignServer:
             await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, finish in-flight work, join the workers."""
+        """Stop accepting, close idle connections, finish in-flight
+        work, join the workers."""
         if self._server is not None:
             self._server.close()
+            # A connection still reading its head has asked for nothing:
+            # stop the read and let its handler close the connection now,
+            # instead of leaving the handler to the loop's teardown.
+            idle, self._reading = self._reading, {}
+            for reading in idle:
+                reading.cancel()
+            if idle:
+                await asyncio.wait(idle.values())
             await self._server.wait_closed()
         await self._service.drain()
 
@@ -438,36 +452,56 @@ class CampaignServer:
 
     async def _handle_client(self, reader, writer) -> None:
         try:
-            head = _RequestHead()
-            try:
-                await asyncio.wait_for(head.read(reader), HEAD_DEADLINE_SECONDS)
-            except asyncio.TimeoutError:
-                head.error = head.error or "408 Request Timeout"
+            head = await self._read_head(reader)
+            if head is None:
+                return
             if head.error is None:
                 status, body, content_type = await self._respond(head.line)
             else:
                 status, body = head.error, _HEAD_ERRORS[head.error]
                 content_type = "text/plain"
             payload = body.encode()
-            writer.write(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    "Connection: close\r\n"
-                    "\r\n"
-                ).encode()
-            )
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client went away; nothing to answer
+            try:
+                writer.write(
+                    (
+                        f"HTTP/1.1 {status}\r\n"
+                        f"Content-Type: {content_type}\r\n"
+                        f"Content-Length: {len(payload)}\r\n"
+                        "Connection: close\r\n"
+                        "\r\n"
+                    ).encode()
+                )
+                writer.write(payload)
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass  # client went away; nothing to answer
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _read_head(self, reader) -> _RequestHead | None:
+        """The request head, or None when there is no one to answer:
+        the client went away, or the drain closed the idle connection."""
+        head = _RequestHead()
+        reading = asyncio.create_task(head.read(reader))
+        handler = asyncio.current_task()
+        self._reading[reading] = handler
+        try:
+            await asyncio.wait_for(reading, HEAD_DEADLINE_SECONDS)
+        except asyncio.TimeoutError:
+            head.error = head.error or "408 Request Timeout"
+        except asyncio.CancelledError:
+            if reading in self._reading:
+                raise  # the handler itself is being cancelled
+            return None  # the drain took this read over and stopped it
+        except (ConnectionError, OSError):
+            return None
+        finally:
+            self._reading.pop(reading, None)
+        return head
 
     async def _respond(self, request_line: bytes) -> tuple[str, str, str]:
         """Route one request line to ``(status, body, content_type)``."""
@@ -518,7 +552,11 @@ class CampaignServer:
             return "404 Not Found", f"unknown benchmark: {exc}\n", "text/plain"
         except ConfigurationError as exc:
             return "400 Bad Request", f"{exc}\n", "text/plain"
-        except ReproError as exc:
+        except Exception as exc:
+            # Anything else the lookup raised — a ReproError, or an
+            # OSError from the executor side such as a full disk on a
+            # store save — is the server's fault: answer it (``lookup``
+            # already counted it under ``errors``).
             return "500 Internal Server Error", f"{exc}\n", "text/plain"
         return "200 OK", payload, "application/json"
 

@@ -1,8 +1,8 @@
 """Determinism linter and runtime sanitizer (``repro.lint``).
 
 Covers each DET rule against a fixture corpus of good/bad snippets,
-suppression and baseline handling, the ``--json`` schema, CLI exit
-codes, and the runtime traps of :class:`DeterminismSanitizer`.
+suppression handling, finding fingerprints, the ``--json`` schema, CLI
+exit codes, and the runtime traps of :class:`DeterminismSanitizer`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import random
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.errors import DeterminismViolation, LintUsageError
-from repro.lint import Baseline, DeterminismSanitizer, LintEngine
+from repro.lint import DeterminismSanitizer, LintEngine
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import parse_suppressions
+from repro.lint.engine import _SUPPRESS_RE, parse_suppressions
 from repro.lint.rules import all_rules, get_rules
 from repro.lint.sanitizer import sanitize_requested
 
@@ -312,64 +313,24 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Baseline handling.
+# Finding fingerprints (SARIF partialFingerprints).
 # ----------------------------------------------------------------------
 
 
 class TestBaseline:
     BAD = "import random\nx = random.random()\n"
 
-    def test_baseline_grandfathers_then_catches_new(self, tmp_path):
-        mod = tmp_path / "src/repro/machine/mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text(self.BAD)
-        engine = LintEngine()
-        result = engine.run([tmp_path / "src"])
-        assert len(result.findings) == 1
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.write(baseline_file, result.findings)
-
-        baseline = Baseline.load(baseline_file)
-        clean = engine.run([tmp_path / "src"], baseline=baseline)
-        assert clean.clean
-        assert len(clean.baselined) == 1
-
-        # A second, new hazard is not grandfathered.
-        mod.write_text(self.BAD + "y = random.randint(0, 9)\n")
-        again = engine.run([tmp_path / "src"], baseline=baseline)
-        assert len(again.findings) == 1
-        assert "randint" in again.findings[0].message
-
     def test_fingerprint_survives_line_drift(self, tmp_path):
         mod = tmp_path / "src/repro/machine/mod.py"
         mod.parent.mkdir(parents=True)
         mod.write_text(self.BAD)
         engine = LintEngine()
-        baseline = Baseline.from_findings(engine.run([tmp_path / "src"]).findings)
-        # Prepend unrelated lines: the finding moves but stays baselined.
+        (before,) = engine.run([tmp_path / "src"]).findings
+        # Prepend unrelated lines: the finding moves, its identity stays.
         mod.write_text("import os\n\n\n" + self.BAD)
-        result = engine.run([tmp_path / "src"], baseline=baseline)
-        assert result.clean
-
-    def test_duplicate_hazards_tracked_by_count(self, tmp_path):
-        mod = tmp_path / "src/repro/machine/mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("import random\nx = random.random()\nx = random.random()\n")
-        engine = LintEngine()
-        findings = engine.run([tmp_path / "src"]).findings
-        assert len(findings) == 2
-        baseline = Baseline.from_findings(findings[:1])
-        result = engine.run([tmp_path / "src"], baseline=baseline)
-        assert len(result.findings) == 1  # one grandfathered, one new
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").counts == {}
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "b.json"
-        bad.write_text("{not json")
-        with pytest.raises(LintUsageError):
-            Baseline.load(bad)
+        (after,) = engine.run([tmp_path / "src"]).findings
+        assert after.line == before.line + 3
+        assert after.fingerprint() == before.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +381,36 @@ class TestEngine:
         engine = LintEngine()
         result = engine.run([REPO_ROOT / "examples"])
         assert result.clean, [f.location() for f in result.findings]
+
+    def test_no_stale_waivers(self):
+        """Every waiver comment in the tree still waives a finding.
+
+        A ``# repro: allow-XXXNNN`` pragma that suppresses nothing is
+        either dead or the sign of an analyzer that silently lost
+        precision.  Pragmas are read as comment *tokens*, so fixture
+        sources quoted inside test strings do not count.
+        """
+        roots = [REPO_ROOT / name for name in ("src", "tests", "examples")]
+        engine = LintEngine()
+        waived = {
+            (Path(f.path), f.line, f.rule)
+            for f in engine.run(roots).suppressed
+        }
+        stale = []
+        for path in engine.discover(roots):
+            with tokenize.open(path) as fh:
+                for token in tokenize.generate_tokens(fh.readline):
+                    if token.type != tokenize.COMMENT:
+                        continue
+                    match = _SUPPRESS_RE.match(token.string)
+                    if match is None:
+                        continue
+                    line = token.start[0]
+                    if token.line.lstrip().startswith("#"):
+                        line += 1  # a comment-only line covers the next
+                    if (path, line, match.group("rule")) not in waived:
+                        stale.append(f"{path}:{token.start[0]}")
+        assert not stale, stale
 
     def test_no_baseline_file_is_shipped(self):
         """The grandfathered-findings file is gone: debt stays at zero."""
@@ -785,20 +776,6 @@ class TestProgramRulePlumbing:
         assert result.clean
         assert rules_of(result.suppressed) == ["SEED001"]
 
-    def test_program_findings_respect_baseline(self, tmp_path):
-        files = {
-            "src/repro/machine/build.py":
-                "def build_machine(seed):\n"
-                "    return [0] * 4\n",
-        }
-        first = lint_tree(tmp_path, files, rules=["SEED001"])
-        assert not first.clean
-        baseline = Baseline.from_findings(first.findings)
-        engine = LintEngine(rules=get_rules(["SEED001"]))
-        second = engine.run([tmp_path], baseline=baseline)
-        assert second.clean
-        assert rules_of(second.baselined) == ["SEED001"]
-
 
 # ----------------------------------------------------------------------
 # CLI: exit codes and --json schema.
@@ -845,7 +822,7 @@ class TestCli:
         code, out, _ = self.run_cli(str(root), "--json")
         assert code == 1
         payload = json.loads(out)
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["rule_set"] == [r.id for r in all_rules()]
         assert payload["clean"] is False
         assert payload["summary"]["findings"] == 1
@@ -876,15 +853,6 @@ class TestCli:
         a, b = json.loads(first), json.loads(second)
         a.pop("timing"), b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_write_then_check_baseline_roundtrip(self, tmp_path):
-        root = self.make_tree(tmp_path, "import random\nx = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        code, _, _ = self.run_cli(str(root), "--write-baseline", str(baseline))
-        assert code == 0
-        code, out, _ = self.run_cli(str(root), "--baseline", str(baseline))
-        assert code == 0
-        assert "1 baselined" in out
 
     def test_list_rules(self):
         code, out, _ = self.run_cli("--list-rules")

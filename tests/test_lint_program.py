@@ -3,8 +3,8 @@
 Covers the project symbol table and call graph
 (:mod:`repro.lint.callgraph`), the seed-taint dataflow core
 (:mod:`repro.lint.dataflow`), the CLI surface added for
-interprocedural linting (``--graph``, repeatable ``--rule``), baseline
-rule-set staleness detection, and a hypothesis-driven corpus of
+interprocedural linting (``--graph``, repeatable ``--rule``,
+``--json`` rule sets), and a hypothesis-driven corpus of
 generated seeded/unseeded call chains asserting SEED001's contract:
 no false negatives on severed chains, no false positives on threaded
 ones.
@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import LintUsageError
-from repro.lint import Baseline, LintEngine
+from repro.lint import LintEngine
 from repro.lint.callgraph import CallGraph, Program, module_name
 from repro.lint.cli import main as lint_main
 from repro.lint.dataflow import (
@@ -246,7 +245,7 @@ class TestArgumentBinding:
 
 
 # ----------------------------------------------------------------------
-# CLI: --graph, --rule, baseline staleness, --json rule_set.
+# CLI: --graph, --rule, --json rule_set.
 # ----------------------------------------------------------------------
 
 
@@ -319,68 +318,13 @@ class TestCliSurface:
         code, out, _ = run_cli("--rule", "SEED001", "--json", str(root))
         assert code == 0
         payload = json.loads(out)
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["rule_set"] == ["SEED001"]
 
     def test_unknown_rule_flag_is_usage_error(self, tmp_path):
         code, _, err = run_cli("--rule", "NOPE999", str(tmp_path))
         assert code == 2
         assert "unknown rule" in err
-
-
-class TestBaselineStaleness:
-    def findings(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "src/repro/machine/mod.py":
-                "import random\n"
-                "def f():\n"
-                "    return random.random()\n",
-        })
-        return root, LintEngine().run([root]).findings
-
-    def test_round_trip_with_matching_rules(self, tmp_path):
-        root, findings = self.findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        rules = [r.id for r in get_rules()]
-        Baseline.write(path, findings, rules=rules)
-        loaded = Baseline.load(path, expected_rules=rules)
-        assert sum(loaded.counts.values()) == len(findings)
-        assert loaded.rules == tuple(sorted(rules))
-
-    def test_different_rule_set_is_stale(self, tmp_path):
-        _, findings = self.findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, findings, rules=["DET001"])
-        with pytest.raises(LintUsageError, match="stale baseline"):
-            Baseline.load(
-                path, expected_rules=[r.id for r in get_rules()]
-            )
-
-    def test_version1_file_predates_tracking(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 1, "entries": []}))
-        # Legacy read without expectations still works…
-        assert Baseline.load(path).rules is None
-        # …but the CLI's strict load rejects it.
-        with pytest.raises(LintUsageError, match="predates"):
-            Baseline.load(path, expected_rules=["DET001"])
-
-    def test_cli_rejects_stale_baseline(self, tmp_path):
-        root, findings = self.findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, findings, rules=["DET001"])
-        code, _, err = run_cli(str(root), "--baseline", str(path))
-        assert code == 2
-        assert "stale" in err
-
-    def test_written_baseline_records_rule_set(self, tmp_path):
-        root, findings = self.findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        code, _, _ = run_cli(str(root), "--write-baseline", str(path))
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert payload["rules"] == sorted(r.id for r in get_rules())
 
 
 # ----------------------------------------------------------------------

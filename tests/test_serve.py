@@ -14,9 +14,11 @@ work before the workers stop.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -36,7 +38,7 @@ from repro.serve import (
     CampaignService,
     percentile,
 )
-from repro.store import CampaignKey
+from repro.store import CampaignKey, CampaignStore
 
 from .conftest import TEST_SCALE
 
@@ -493,6 +495,33 @@ class TestHttpServer:
         assert "Traceback" not in capfd.readouterr().err
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
+    def test_server_side_oserror_answers_500(self, tmp_path, monkeypatch):
+        lab = Laboratory(
+            scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
+        )
+
+        def full_disk(self, key, observations):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(CampaignStore, "save", full_disk)
+
+        async def body(server):
+            campaign = await http_get(
+                server.port, f"/campaign?benchmark={BENCH}&layouts=2"
+            )
+            metrics = await http_get(server.port, "/metrics")
+            health = await http_get(server.port, "/healthz")
+            return campaign, metrics, health
+
+        campaign, metrics, health = self.run_with_server(lab, body)
+        status, _, payload = campaign
+        assert status == "500 Internal Server Error"
+        assert os.strerror(errno.ENOSPC) in payload.decode()
+        view = json.loads(metrics[2])
+        assert view["errors"] == 1
+        assert view["served"] == 0
+        assert health[0] == "200 OK"
+
     def test_drain_request_stops_the_server(self, lab):
         from repro.core.supervise import ShutdownHandler
 
@@ -546,3 +575,39 @@ class TestServeProcessDrain:
                 proc.communicate()
         assert proc.returncode == 0, out
         assert "drained:" in out
+
+    def test_sigterm_closes_idle_connections_quietly(self):
+        env = dict(os.environ)
+        env["REPRO_SCALE"] = "ci"
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        idle = []
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            idle = [
+                socket.create_connection(("127.0.0.1", port), timeout=10)
+                for _ in range(5)
+            ]
+            # The server accepts in order: once a later request is
+            # answered, every idle connection is inside its handler.
+            status, _, _ = asyncio.run(http_get(port, "/healthz"))
+            assert status == "200 OK"
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            assert [sock.recv(64) for sock in idle] == [b""] * len(idle)
+        finally:
+            for sock in idle:
+                sock.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "drained:" in out
+        assert "Traceback" not in err, err
