@@ -22,30 +22,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store import CampaignStore
 
 
-def _resume_campaign(
+def _escalate(
     interferometer: Interferometer,
     benchmark: Benchmark,
     store: "CampaignStore | None",
+    batch: int,
     max_samples: int,
-) -> tuple[ObservationSet, Callable[[ObservationSet], None] | None]:
-    """The cached campaign prefix (if any) and its incremental sink.
+    done: Callable[[ObservationSet], bool],
+) -> ObservationSet:
+    """Grow one campaign in batches until ``done`` holds or the budget ends.
 
-    With a store, escalation resumes from whatever was already measured
-    and persists every newly appended layout as soon as it completes;
-    without one, it starts empty and keeps nothing.
+    ``done`` is asked about the cached prefix (when it has at least 3
+    layouts) before anything new is measured, then after every batch.
+    With a store, escalation resumes from whatever was already measured,
+    persists every newly appended layout as soon as it completes, and
+    is accounted by :meth:`CampaignStore.get` — a hit when nothing new
+    was measured, else one miss; without one, it starts empty and keeps
+    nothing.
     """
     observations = ObservationSet(benchmark=benchmark.name)
-    if store is None:
-        return observations, None
-    from repro.store import CampaignKey
+    # What was stored before escalating (empty when nothing was): the
+    # sink rewrites the store file as layouts land, so the accounting
+    # below must not reload it.
+    stored = ObservationSet(benchmark=benchmark.name)
+    sink = None
+    if store is not None:
+        from repro.store import CampaignKey
 
-    key = CampaignKey.for_interferometer(interferometer, benchmark.name)
-    stored = store.load(key)
-    if stored is not None:
-        observations.extend(stored.observations[:max_samples])
-        store.stats.hits += 1
-        store.stats.layouts_loaded += len(observations)
-    return observations, store.sink(key)
+        key = CampaignKey.for_interferometer(interferometer, benchmark.name)
+        loaded = store.load(key)
+        if loaded is not None:
+            stored = loaded
+            observations.extend(stored.observations[:max_samples])
+        sink = store.sink(key)
+    finished = len(observations) >= 3 and done(observations)
+    while not finished and len(observations) < max_samples:
+        n_more = min(batch, max_samples - len(observations))
+        interferometer.extend(benchmark, observations, n_more, sink=sink)
+        finished = done(observations)
+    if store is not None:
+        store.get(
+            key,
+            len(observations),
+            lambda start, n: observations.observations[start:],
+            stored,
+        )
+    return observations
 
 
 @dataclass(frozen=True)
@@ -113,20 +135,19 @@ class SampleEscalation:
 
     def run(self, benchmark: Benchmark) -> EscalationResult:
         """Escalate sampling for one benchmark; keep all data."""
-        observations, sink = _resume_campaign(
-            self.interferometer, benchmark, self.store, self.max_samples
-        )
         p_values: list[float] = []
         significant = False
-        if len(observations) >= 3:
-            # Cached prefix: test it before measuring anything new.
+
+        def test(observations: ObservationSet) -> bool:
+            nonlocal significant
             p_value, significant = self._test_round(observations)
             p_values.append(p_value)
-        while not significant and len(observations) < self.max_samples:
-            n_more = min(self.batch, self.max_samples - len(observations))
-            self.interferometer.extend(benchmark, observations, n_more, sink=sink)
-            p_value, significant = self._test_round(observations)
-            p_values.append(p_value)
+            return significant
+
+        observations = _escalate(
+            self.interferometer, benchmark, self.store, self.batch,
+            self.max_samples, test,
+        )
         return EscalationResult(
             benchmark=benchmark.name,
             observations=observations,
@@ -187,22 +208,20 @@ class PrecisionEscalation:
 
     def run(self, benchmark: Benchmark) -> PrecisionResult:
         """Sample until the PI at ``x0`` is tight enough, or give up."""
-        observations, sink = _resume_campaign(
-            self.interferometer, benchmark, self.store, self.max_samples
-        )
         half_widths: list[float] = []
         achieved = False
-        if len(observations) >= 3:
+
+        def tight(observations: ObservationSet) -> bool:
+            nonlocal achieved
             percent = self._half_width_round(observations)
             half_widths.append(percent)
             achieved = percent <= self.target_percent_half_width
-        while not achieved and len(observations) < self.max_samples:
-            n_more = min(self.batch, self.max_samples - len(observations))
-            self.interferometer.extend(benchmark, observations, n_more, sink=sink)
-            percent = self._half_width_round(observations)
-            half_widths.append(percent)
-            if percent <= self.target_percent_half_width:
-                achieved = True
+            return achieved
+
+        observations = _escalate(
+            self.interferometer, benchmark, self.store, self.batch,
+            self.max_samples, tight,
+        )
         return PrecisionResult(
             benchmark=benchmark.name,
             observations=observations,

@@ -34,10 +34,10 @@ from repro.core.supervise import (
     DEFAULT_BREAKER_THRESHOLD,
     CircuitBreaker,
     ShutdownHandler,
-    run_with_deadline,
+    Supervisor,
 )
 from repro.errors import (
-    CampaignTimeoutError,
+    CampaignExecutionError,
     ConfigurationError,
     SuiteExecutionError,
     TransientError,
@@ -65,6 +65,11 @@ class _CampaignSpec:
     runs_per_group: int
     fault_plan: FaultPlan | None = None
 
+    @property
+    def stop(self) -> int:
+        """Layouts complete once this slice is measured."""
+        return self.start_index + self.n_layouts
+
 
 def _in_worker_process() -> bool:
     """True inside a multiprocessing pool worker (not the main process)."""
@@ -88,11 +93,10 @@ def _run_campaign(spec: _CampaignSpec) -> list[Observation]:
                 f"injected crash measuring {spec.benchmark_name!r} "
                 "in a pool worker"
             )
-        if plan is not None and plan.hangs_worker(spec.benchmark_name):
-            # Unlike crash injection this fires in ANY process: the
-            # serial watchdog path must observe hangs too, not just the
-            # pool supervisor's future.result(timeout=...).
-            faults.hang(plan.hang_seconds)
+        # Unlike crash injection this fires in ANY process: the serial
+        # watchdog path must observe hangs too, not just the pool
+        # supervisor's future.result(timeout=...).
+        faults.hang_point(spec.benchmark_name)
         machine = XeonE5440(config=spec.machine_config, seed=spec.machine_seed)
         interferometer = Interferometer(
             machine,
@@ -178,11 +182,9 @@ class MachinePark:
         randomize_heap: bool = False,
         workers: int = 0,
         start_indices: Mapping[str, int] | None = None,
-        max_retries: int | None = None,
         retry_policy: RetryPolicy | None = None,
         report: FailureReport | None = None,
         fail_fast: bool = False,
-        deadline_seconds: float | None = None,
         journal: SuiteJournal | None = None,
         shutdown: ShutdownHandler | None = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
@@ -198,25 +200,27 @@ class MachinePark:
         ``[start, n_layouts)`` only, so callers resuming from a
         persisted prefix get exactly the missing suffix back.
 
-        Fault tolerance: each campaign is retried up to the policy's
-        ``max_retries`` on transient failures (exponential backoff); a
-        campaign whose pool worker crashes or dies is re-run serially
-        in this process (graceful degradation, parallel → serial)
-        instead of aborting the suite.  Because a retry re-runs the
-        same pure function of (seed, benchmark, layout index), every
-        recovered campaign is bit-identical to a fault-free run.
-        Incidents are recorded in *report* when one is passed (failed
-        campaigns are then simply absent from the result); without a
-        report, a campaign that still fails after the whole budget
-        raises :class:`~repro.errors.SuiteExecutionError` carrying the
-        full :class:`~repro.faults.FailureReport` — after every other
+        Fault tolerance: each campaign runs under ``retry_policy``
+        (default: :meth:`RetryPolicy.from_env`) through the shared
+        :class:`~repro.core.supervise.Supervisor` — transient failures
+        retry with exponential backoff; a campaign whose pool worker
+        crashes or dies is re-run serially in this process (graceful
+        degradation, parallel → serial) instead of aborting the suite.
+        Because a retry re-runs the same pure function of (seed,
+        benchmark, layout index), every recovered campaign is
+        bit-identical to a fault-free run.  Incidents are recorded in
+        *report* when one is passed (failed campaigns are then simply
+        absent from the result); without a report, a campaign that
+        still fails after the whole budget raises
+        :class:`~repro.errors.SuiteExecutionError` carrying the full
+        :class:`~repro.faults.FailureReport` — after every other
         campaign has been given its chance.  ``fail_fast`` aborts at
         the first exhausted campaign instead.
 
         Supervision:
 
-        * ``deadline_seconds`` (default: the policy's) bounds each
-          campaign execution.  A pool worker that exceeds it is killed
+        * The policy's ``deadline_seconds`` bounds each campaign
+          execution.  A pool worker that exceeds it is killed
           (``future.result(timeout=...)``); serially the campaign runs
           under a monotonic-clock watchdog.  Either way the expiry is
           recorded as a ``timed_out`` incident and the campaign re-runs
@@ -236,17 +240,6 @@ class MachinePark:
         """
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_env(max_retries)
-        )
-        if deadline_seconds is None:
-            deadline_seconds = policy.deadline_seconds
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ConfigurationError(
-                f"deadline_seconds must be > 0, got {deadline_seconds}"
-            )
         names = [b if isinstance(b, str) else b.name for b in benchmarks]
         counts = collections.Counter(names)
         duplicates = sorted(name for name, count in counts.items() if count > 1)
@@ -278,39 +271,31 @@ class MachinePark:
             for name in names
             if n_layouts - starts.get(name, 0) > 0
         ]
-        local_report = report if report is not None else FailureReport()
+        supervisor = Supervisor(
+            policy=(
+                retry_policy if retry_policy is not None
+                else RetryPolicy.from_env()
+            ),
+            report=report if report is not None else FailureReport(),
+            journal=journal,
+            shutdown=shutdown,
+        )
         collected: dict[str, list[Observation]] = {}
-        if workers == 0:
-            for spec in specs:
-                if shutdown is not None and shutdown.requested:
-                    break  # draining: nothing new starts
-                self._measure_one(
-                    spec, policy, local_report, fail_fast,
-                    deadline_seconds, journal, collected,
-                )
-        else:
+        pending = specs
+        if workers > 0:
             breaker = CircuitBreaker(breaker_threshold)
-            pending = list(specs)
-            while (
-                pending
-                and not breaker.tripped
-                and not (shutdown is not None and shutdown.requested)
-            ):
+            while pending and not breaker.tripped and not supervisor.draining:
                 pending = self._pool_round(
-                    pending, workers, policy, local_report, fail_fast,
-                    deadline_seconds, journal, breaker, collected,
+                    pending, workers, supervisor, fail_fast, breaker, collected
                 )
             if breaker.tripped:
-                local_report.trip_breaker(breaker.reason)
-            for spec in pending:
-                # Breaker tripped: the remainder degrades to supervised
-                # serial execution (no more pool re-creation).
-                if shutdown is not None and shutdown.requested:
-                    break
-                self._measure_one(
-                    spec, policy, local_report, fail_fast,
-                    deadline_seconds, journal, collected,
-                )
+                supervisor.report.trip_breaker(breaker.reason)
+        # The serial path: every campaign with workers=0, and the
+        # remainder once the breaker has tripped (no more pools).
+        for spec in pending:
+            if supervisor.draining:
+                break  # nothing new starts
+            self._measure_serially(spec, supervisor, fail_fast, collected)
         results: dict[str, ObservationSet] = {}
         for spec in specs:
             observations = collected.get(spec.benchmark_name)
@@ -319,66 +304,35 @@ class MachinePark:
             observation_set = ObservationSet(benchmark=spec.benchmark_name)
             observation_set.extend(observations)
             results[spec.benchmark_name] = observation_set
-        if report is None and not local_report.ok:
-            raise SuiteExecutionError(local_report)
+        if report is None and not supervisor.report.ok:
+            raise SuiteExecutionError(supervisor.report)
         return results
 
     # -- supervised execution ------------------------------------------
 
     @staticmethod
-    def _journal_begin(journal: SuiteJournal | None, spec: _CampaignSpec) -> None:
-        if journal is not None:
-            journal.record_begin(
+    def _measure_serially(
+        spec: _CampaignSpec,
+        supervisor: Supervisor,
+        fail_fast: bool,
+        collected: dict[str, list[Observation]],
+    ) -> None:
+        """Run one campaign in this process under the supervisor.
+
+        An exhausted campaign is left out of *collected* (its incident
+        is in the report), or aborts the suite under ``fail_fast``.
+        """
+        try:
+            collected[spec.benchmark_name] = supervisor.measure(
+                lambda: _run_campaign(spec),
                 spec.benchmark_name,
                 spec.randomize_heap,
                 spec.start_index,
-                spec.start_index + spec.n_layouts,
+                spec.stop,
             )
-
-    @staticmethod
-    def _journal_commit(journal: SuiteJournal | None, spec: _CampaignSpec) -> None:
-        if journal is not None:
-            journal.record_commit(
-                spec.benchmark_name,
-                spec.randomize_heap,
-                spec.start_index + spec.n_layouts,
-            )
-
-    def _measure_one(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
-        collected: dict[str, list[Observation]],
-    ) -> None:
-        """Journal, supervise, and collect one campaign serially."""
-        self._journal_begin(journal, spec)
-        self._recover_serially(
-            spec, policy, report, fail_fast, deadline_seconds, journal,
-            collected,
-        )
-
-    def _recover_serially(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
-        collected: dict[str, list[Observation]],
-    ) -> None:
-        """Run one already-begun campaign in-process; commit on success."""
-        observations = self._run_supervised(
-            spec, policy, report, fail_fast,
-            deadline_seconds=deadline_seconds,
-        )
-        if observations is not None:
-            collected[spec.benchmark_name] = observations
-            self._journal_commit(journal, spec)
+        except CampaignExecutionError as exc:
+            if fail_fast:
+                raise SuiteExecutionError(supervisor.report) from exc
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -399,11 +353,8 @@ class MachinePark:
         self,
         pending: list[_CampaignSpec],
         workers: int,
-        policy: RetryPolicy,
-        report: FailureReport,
+        supervisor: Supervisor,
         fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
         breaker: CircuitBreaker,
         collected: dict[str, list[Observation]],
     ) -> list[_CampaignSpec]:
@@ -412,16 +363,21 @@ class MachinePark:
         Returns the specs deferred to the next round — campaigns queued
         behind a killed or broken pool that never got to run.  The
         *offender* of a pool failure is re-run serially within the
-        round, so its campaign recovers under the retry budget
-        immediately; innocent bystanders keep their parallelism in the
-        next pool generation (until the breaker trips).
+        round (journaled afresh), so its campaign recovers under the
+        retry budget immediately; innocent bystanders keep their
+        parallelism in the next pool generation (until the breaker
+        trips).
         """
+        deadline_seconds = supervisor.policy.deadline_seconds
         deferred: list[_CampaignSpec] = []
         pool_dead = False
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             for spec in pending:
-                self._journal_begin(journal, spec)
+                supervisor.begin(
+                    spec.benchmark_name, spec.randomize_heap,
+                    spec.start_index, spec.stop,
+                )
             futures = [
                 (spec, pool.submit(_run_campaign, spec)) for spec in pending
             ]
@@ -437,7 +393,9 @@ class MachinePark:
                         and future.exception() is None
                     ):
                         collected[spec.benchmark_name] = future.result()
-                        self._journal_commit(journal, spec)
+                        supervisor.commit(
+                            spec.benchmark_name, spec.randomize_heap, spec.stop
+                        )
                     else:
                         deferred.append(spec)
                     continue
@@ -447,7 +405,7 @@ class MachinePark:
                     breaker.record_failure(
                         f"deadline expiry on {spec.benchmark_name}"
                     )
-                    report.record(
+                    supervisor.report.record(
                         spec.benchmark_name,
                         "timed_out",
                         attempts=1,
@@ -459,15 +417,12 @@ class MachinePark:
                     )
                     self._kill_pool(pool)
                     pool_dead = True
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self._measure_serially(spec, supervisor, fail_fast, collected)
                 except BrokenProcessPool as exc:
                     breaker.record_failure(
                         f"broken pool on {spec.benchmark_name}"
                     )
-                    report.record(
+                    supervisor.report.record(
                         spec.benchmark_name,
                         "degraded",
                         attempts=1,
@@ -475,97 +430,27 @@ class MachinePark:
                         heap=spec.randomize_heap,
                     )
                     pool_dead = True
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self._measure_serially(spec, supervisor, fail_fast, collected)
                 except TransientError as exc:
                     # The worker raised (soft crash): the pool itself is
                     # healthy, only this campaign degrades to serial.
                     breaker.record_failure(
                         f"worker crash on {spec.benchmark_name}"
                     )
-                    report.record(
+                    supervisor.report.record(
                         spec.benchmark_name,
                         "degraded",
                         attempts=1,
                         error=f"pool worker failed ({exc}); re-ran serially",
                         heap=spec.randomize_heap,
                     )
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self._measure_serially(spec, supervisor, fail_fast, collected)
                 else:
                     breaker.record_success()
                     collected[spec.benchmark_name] = result
-                    self._journal_commit(journal, spec)
+                    supervisor.commit(
+                        spec.benchmark_name, spec.randomize_heap, spec.stop
+                    )
         finally:
             pool.shutdown(wait=not pool_dead)
         return deferred
-
-    def _run_supervised(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None = None,
-    ) -> list[Observation] | None:
-        """One campaign with the retry budget, in this process.
-
-        With a deadline, each execution runs under the
-        :func:`~repro.core.supervise.run_with_deadline` watchdog; an
-        expiry is recorded as a ``timed_out`` incident and consumes one
-        retry like any other transient failure.  Returns the measured
-        slice, or ``None`` when the budget is exhausted (the failure is
-        recorded in *report*; with ``fail_fast`` it raises immediately
-        instead).
-        """
-        attempts = 0
-        slept = 0.0
-        last_error: TransientError | None = None
-        while True:
-            try:
-                result = run_with_deadline(
-                    lambda: _run_campaign(spec),
-                    deadline_seconds,
-                    describe=spec.benchmark_name,
-                )
-                break
-            except TransientError as exc:
-                attempts += 1
-                last_error = exc
-                if isinstance(exc, CampaignTimeoutError):
-                    report.record(
-                        spec.benchmark_name,
-                        "timed_out",
-                        attempts=attempts,
-                        error=str(exc),
-                        heap=spec.randomize_heap,
-                    )
-                if attempts > policy.max_retries:
-                    report.record(
-                        spec.benchmark_name,
-                        "failed",
-                        attempts=attempts,
-                        error=str(exc),
-                        heap=spec.randomize_heap,
-                    )
-                    if fail_fast:
-                        raise SuiteExecutionError(report) from exc
-                    return None
-                slept += policy.sleep(
-                    attempts - 1,
-                    key=spec.benchmark_name,
-                    already_slept=slept,
-                )
-        if attempts:
-            report.record(
-                spec.benchmark_name,
-                "recovered",
-                attempts=attempts + 1,
-                error=f"transient failure(s), last: {last_error}",
-                heap=spec.randomize_heap,
-            )
-        return result

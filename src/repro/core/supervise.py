@@ -1,11 +1,17 @@
-"""Supervised execution primitives: deadlines, circuit breaker, shutdown.
+"""Supervised execution: the campaign runner, deadlines, breaker, shutdown.
 
 The paper's campaigns run for days across four machines (§5.4); at that
 horizon the interesting failures are not crashes (PR 2's territory) but
 *silence* — a worker that never returns — and *termination* — an
 operator or scheduler killing the process mid-suite.  This module holds
-the three mechanisms the campaign supervisors compose against them:
+the one supervised campaign path and the mechanisms it composes:
 
+* :class:`Supervisor` — what every campaign runs under (retry budget
+  and deadline, incident report, suite journal, drain signal).  Its
+  :meth:`~Supervisor.run` is the single retry loop shared by the
+  :class:`~repro.harness.lab.Laboratory` and the
+  :class:`~repro.core.park.MachinePark`, and its ``begin``/``commit``
+  are the only writers of the journal.
 * :func:`run_with_deadline` — a monotonic-clock watchdog for the serial
   path: the campaign runs in a daemon thread and a hang surfaces as a
   :class:`~repro.errors.CampaignTimeoutError` after ``deadline_seconds``
@@ -31,19 +37,27 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro import telemetry
 from repro.errors import (
+    CampaignExecutionError,
     CampaignTimeoutError,
     ConfigurationError,
     ShutdownRequested,
+    TransientError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults import FailureReport, RetryPolicy
+    from repro.journal import SuiteJournal
 
 __all__ = [
     "DEFAULT_BREAKER_THRESHOLD",
     "CircuitBreaker",
     "ShutdownHandler",
+    "Supervisor",
     "run_with_deadline",
 ]
 
@@ -253,3 +267,98 @@ class ShutdownHandler:
 
     def __exit__(self, *exc_info: object) -> None:
         self._restore()
+
+
+@dataclass
+class Supervisor:
+    """What every campaign of a suite runs under.
+
+    ``policy`` holds the retry budget and the per-execution deadline,
+    ``report`` collects the incidents, ``journal`` (optional) is the
+    suite's write-ahead log and ``shutdown`` (optional) the drain
+    signal.  The Laboratory's serial path and the MachinePark's serial
+    and pool paths all go through one instance of this protocol.
+    """
+
+    policy: "RetryPolicy"
+    report: "FailureReport"
+    journal: "SuiteJournal | None" = None
+    shutdown: ShutdownHandler | None = None
+
+    @property
+    def draining(self) -> bool:
+        """True once a drain was requested: nothing new may start."""
+        return self.shutdown is not None and self.shutdown.requested
+
+    def begin(self, benchmark: str, heap: bool, start_index: int, stop: int) -> None:
+        """Journal that layouts ``[start_index, stop)`` are about to run."""
+        if self.journal is not None:
+            self.journal.record_begin(benchmark, heap, start_index, stop)
+
+    def commit(self, benchmark: str, heap: bool, stop: int) -> None:
+        """Journal that the campaign is complete through *stop* layouts."""
+        if self.journal is not None:
+            self.journal.record_commit(benchmark, heap, stop)
+
+    def run(self, fn: Callable[[], T], benchmark: str, heap: bool = False) -> T:
+        """Run one campaign callable under the retry budget.
+
+        Every execution runs under :func:`run_with_deadline` with the
+        policy's deadline.  A transient failure re-runs the whole
+        (pure) campaign after an exponential backoff; a deadline expiry
+        is recorded as a *timed_out* incident and consumes one retry.
+        Success after retries is recorded as *recovered*; exhaustion as
+        *failed*, raising :class:`~repro.errors.CampaignExecutionError`
+        naming the campaign instead of leaking a raw traceback.
+        """
+        attempts = 0
+        slept = 0.0
+        while True:
+            try:
+                result = run_with_deadline(
+                    fn, self.policy.deadline_seconds, describe=benchmark
+                )
+                break
+            except TransientError as exc:
+                attempts += 1
+                last_error = exc
+                if isinstance(exc, CampaignTimeoutError):
+                    self.report.record(
+                        benchmark, "timed_out", attempts=attempts,
+                        error=str(exc), heap=heap,
+                    )
+                if attempts > self.policy.max_retries:
+                    self.report.record(
+                        benchmark, "failed", attempts=attempts,
+                        error=str(exc), heap=heap,
+                    )
+                    raise CampaignExecutionError(
+                        f"campaign {benchmark!r} failed after {attempts} "
+                        f"attempt(s): {exc}",
+                        benchmark=benchmark,
+                        attempts=attempts,
+                    ) from exc
+                slept += self.policy.sleep(attempts - 1, already_slept=slept)
+        if attempts:
+            self.report.record(
+                benchmark,
+                "recovered",
+                attempts=attempts + 1,
+                error=f"transient failure(s), last: {last_error}",
+                heap=heap,
+            )
+        return result
+
+    def measure(
+        self,
+        fn: Callable[[], T],
+        benchmark: str,
+        heap: bool,
+        start_index: int,
+        stop: int,
+    ) -> T:
+        """Journal ``begin``, :meth:`run`, then journal ``commit``."""
+        self.begin(benchmark, heap, start_index, stop)
+        result = self.run(fn, benchmark, heap)
+        self.commit(benchmark, heap, stop)
+        return result

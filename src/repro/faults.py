@@ -357,9 +357,12 @@ def plan_scope(plan: FaultPlan | None) -> Iterator[None]:
 
     Worker entry points use this: a pickled plan travelling with the
     campaign spec takes precedence, while ``None`` keeps whatever the
-    worker inherited (e.g. an environment plan).
+    worker inherited (e.g. an environment plan).  A plan that is
+    already installed is left alone: an in-process campaign abandoned
+    by the deadline watchdog must not, when it finally returns, restore
+    a plan over whatever the process has installed since.
     """
-    if plan is None:
+    if plan is None or plan is _active:
         yield
         return
     with injected(plan):
@@ -377,6 +380,18 @@ def hang(seconds: float) -> None:
     """
     if seconds > 0:
         time.sleep(seconds)
+
+
+def hang_point(benchmark: str) -> None:
+    """Hang here if the active plan hangs this campaign execution.
+
+    Called where a campaign starts measuring — in a pool worker, on the
+    park's serial path and on the Laboratory's — so a plan's hangs
+    reach every execution the deadline supervises.
+    """
+    plan = active_plan()
+    if plan is not None and plan.hangs_worker(benchmark):
+        hang(plan.hang_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -407,22 +422,15 @@ class RetryPolicy:
 
     ``deadline_seconds`` is the per-campaign execution deadline the
     supervision layer enforces (``None`` = unbounded, the historical
-    behaviour).  ``jitter`` > 0 switches the schedule to *decorrelated*
-    backoff (each delay drawn between ``backoff_base`` and three times
-    the previous delay) — but seeded: the draw is a deterministic
-    function of ``(jitter_seed, campaign key, attempt)``, so a rerun
-    retries on the identical schedule and recovery stays reproducible.
-    ``backoff_total_cap`` bounds the *cumulative* backoff one campaign
-    may spend sleeping, so a pathological fault schedule cannot stall
-    a suite indefinitely.
+    behaviour).  ``backoff_total_cap`` bounds the *cumulative* backoff
+    one campaign may spend sleeping, so a pathological fault schedule
+    cannot stall a suite indefinitely.
     """
 
     max_retries: int = DEFAULT_MAX_RETRIES
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     deadline_seconds: float | None = None
-    jitter: float = 0.0
-    jitter_seed: int = 0xB0FF
     backoff_total_cap: float = 30.0
 
     def __post_init__(self) -> None:
@@ -435,10 +443,6 @@ class RetryPolicy:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
             )
         if self.backoff_total_cap < 0:
             raise ConfigurationError(
@@ -456,44 +460,23 @@ class RetryPolicy:
             max_retries = max_retries_from_env()
         return cls(max_retries=max_retries, deadline_seconds=deadline_seconds)
 
-    def delay(self, attempt: int, key: str = "") -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before retry *attempt* (0-based), capped.
 
-        With ``jitter == 0`` (the default) this is the classic
-        ``base * 2^attempt``.  With jitter the schedule is decorrelated
-        backoff — ``delay_a = uniform(base, 3 * delay_{a-1})`` — where
-        the "uniform" draw is a deterministic hash of
-        ``(jitter_seed, key, attempt)`` blended in by the jitter
-        fraction, so two campaigns (different *key*) desynchronize
-        while a rerun of the same campaign reproduces its schedule.
+        The classic exponential schedule ``base * 2^attempt``.
         """
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
-        if self.jitter <= 0.0:
-            return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        delay = self.backoff_base
-        for a in range(attempt + 1):
-            digest = derive_seed(self.jitter_seed, f"backoff/{key}/{a}")
-            fraction = (digest % _RESOLUTION) / _RESOLUTION
-            spread = max(3.0 * delay - self.backoff_base, 0.0)
-            drawn = self.backoff_base + fraction * spread
-            exponential = self.backoff_base * (2.0 ** a)
-            delay = min(
-                self.backoff_cap,
-                (1.0 - self.jitter) * exponential + self.jitter * drawn,
-            )
-        return delay
+        return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
 
-    def sleep(
-        self, attempt: int, key: str = "", already_slept: float = 0.0
-    ) -> float:
+    def sleep(self, attempt: int, already_slept: float = 0.0) -> float:
         """Sleep out the backoff for retry *attempt*; returns seconds slept.
 
         The delay is clipped so one campaign's cumulative backoff
         (``already_slept`` plus this sleep) never exceeds
         ``backoff_total_cap``; callers thread the running total through.
         """
-        delay = self.delay(attempt, key)
+        delay = self.delay(attempt)
         budget = max(self.backoff_total_cap - already_slept, 0.0)
         delay = min(delay, budget)
         if delay > 0:

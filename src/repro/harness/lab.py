@@ -14,24 +14,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.core.evaluate import PredictorEvaluation, PredictorEvaluator
 from repro.core.interferometer import Interferometer
 from repro.core.model import PerformanceModel
 from repro.core.observations import Observation, ObservationSet
 from repro.core.park import MachinePark
-from repro.core.supervise import ShutdownHandler, run_with_deadline
-from repro.errors import (
-    CampaignExecutionError,
-    CampaignTimeoutError,
-    ConfigurationError,
-    ModelError,
-    TransientError,
-)
+from repro.core.supervise import ShutdownHandler, Supervisor
+from repro.errors import CampaignExecutionError, ConfigurationError, ModelError
 from repro.faults import FailureReport, RetryPolicy
 from repro.journal import JournalState, SuiteJournal
 from repro.machine.system import XeonE5440
-from repro.store import CampaignKey, CampaignStore
+from repro.store import CampaignKey, CampaignStore, MeasureFn
 from repro.uarch.predictors.gas import gas_hybrid_family
 from repro.uarch.predictors.tage import LTagePredictor
 from repro.workloads.suite import Benchmark, get_benchmark, mase_suite, spec2006
@@ -242,171 +236,144 @@ class Laboratory:
         if self.on_campaign is not None:
             self.on_campaign(record)
 
-    def _journal_begin(self, name: str, heap: bool) -> None:
-        if self.journal is not None:
-            self.journal.record_begin(name, heap, 0, self.scale.n_layouts)
-
-    def _journal_commit(self, name: str, heap: bool) -> None:
-        if self.journal is not None:
-            self.journal.record_commit(name, heap, self.scale.n_layouts)
-
-    def _measure_campaign(self, name: str, heap: bool) -> ObservationSet:
-        """Serve one campaign under the retry budget.
-
-        Transient failures re-run the whole (pure) campaign after an
-        exponential backoff; success after retries is recorded as a
-        *recovered* incident, exhaustion as a *failed* one — and raises
-        :class:`~repro.errors.CampaignExecutionError` naming the
-        campaign, instead of leaking a raw traceback.  With a policy
-        deadline, every execution runs under the
-        :func:`~repro.core.supervise.run_with_deadline` watchdog; an
-        expiry is recorded as a *timed_out* incident and consumes one
-        retry.  The slice is journaled (``begin`` before, ``commit``
-        after the store save) so an interrupted suite can be resumed.
-        """
-        attempts = 0
-        slept = 0.0
-        last_error: TransientError | None = None
-        self._journal_begin(name, heap)
-        while True:
-            try:
-                result = run_with_deadline(
-                    lambda: self._measure_campaign_once(name, heap),
-                    self.retry_policy.deadline_seconds,
-                    describe=name,
-                )
-                break
-            except TransientError as exc:
-                attempts += 1
-                last_error = exc
-                if isinstance(exc, CampaignTimeoutError):
-                    self.failure_report.record(
-                        name, "timed_out", attempts=attempts, error=str(exc),
-                        heap=heap,
-                    )
-                if attempts > self.retry_policy.max_retries:
-                    self.failure_report.record(
-                        name, "failed", attempts=attempts, error=str(exc),
-                        heap=heap,
-                    )
-                    raise CampaignExecutionError(
-                        f"campaign {name!r} failed after {attempts} "
-                        f"attempt(s): {exc}",
-                        benchmark=name,
-                        attempts=attempts,
-                    ) from exc
-                slept += self.retry_policy.sleep(
-                    attempts - 1, key=name, already_slept=slept
-                )
-        if attempts:
-            self.failure_report.record(
-                name,
-                "recovered",
-                attempts=attempts + 1,
-                error=f"transient failure(s), last: {last_error}",
-                heap=heap,
-            )
-        self._journal_commit(name, heap)
-        return result
+    def _supervisor(self) -> Supervisor:
+        """The shared supervised path, over this lab's current settings."""
+        return Supervisor(
+            self.retry_policy, self.failure_report, self.journal, self.shutdown
+        )
 
     def _measure_campaign_once(self, name: str, heap: bool) -> ObservationSet:
         """Serve one campaign: disk store first, interferometer on miss."""
-        interferometer = self._interferometer_for(heap)
-        benchmark = self.benchmark(name)
         start = telemetry.tick_seconds()
-        if self.store is None:
-            result = interferometer.observe(
-                benchmark, n_layouts=self.scale.n_layouts
-            )
-            measured = len(result)
-        else:
-            def measure(start_index: int, n: int) -> Sequence[Observation]:
-                return interferometer.observe(
-                    benchmark, n_layouts=n, start_index=start_index
-                ).observations
-
-            before = self.store.stats.layouts_measured
-            result = self.store.get(
-                self._campaign_key(name, heap), self.scale.n_layouts, measure
-            )
-            measured = self.store.stats.layouts_measured - before
+        result, measured = self._fetch(name, heap, self._measurer(name, heap))
         self._record(name, heap, measured, telemetry.tick_seconds() - start)
         return result
 
+    def _measurer(self, name: str, heap: bool) -> MeasureFn:
+        """Measure layouts of one campaign with this lab's interferometer."""
+        interferometer = self._interferometer_for(heap)
+        benchmark = self.benchmark(name)
+
+        def measure(start_index: int, n: int) -> Sequence[Observation]:
+            faults.hang_point(name)
+            return interferometer.observe(
+                benchmark, n_layouts=n, start_index=start_index
+            ).observations
+
+        return measure
+
+    def _fetch(
+        self,
+        name: str,
+        heap: bool,
+        measure: MeasureFn,
+        stored: ObservationSet | None = None,
+    ) -> tuple[ObservationSet, int]:
+        """One campaign through the store (if any); ``(result, measured)``.
+
+        Without a store the whole campaign comes from *measure*.
+        """
+        measured = 0
+
+        def counted(start_index: int, n: int) -> Sequence[Observation]:
+            nonlocal measured
+            fresh = measure(start_index, n)
+            measured = len(fresh)
+            return fresh
+
+        if self.store is None:
+            result = ObservationSet(benchmark=name)
+            result.extend(counted(0, self.scale.n_layouts))
+        else:
+            result = self.store.get(
+                self._campaign_key(name, heap),
+                self.scale.n_layouts,
+                counted,
+                stored,
+            )
+        return result, measured
+
+    def _campaign(self, name: str, heap: bool) -> ObservationSet:
+        """One campaign, memoized in this process.
+
+        A campaign not yet in memory runs through the shared
+        :meth:`Supervisor.measure`: journaled, under the deadline and
+        retry budget, with its incidents recorded; exhaustion raises
+        :class:`~repro.errors.CampaignExecutionError` naming it.  It is
+        measured by this lab's own interferometer, so the machine's
+        memo is reused.
+        """
+        memory = self._heap_observations if heap else self._observations
+        with self._memory_lock:
+            cached = memory.get(name)
+        if cached is None:
+            cached = self._supervisor().measure(
+                lambda: self._measure_campaign_once(name, heap),
+                name, heap, 0, self.scale.n_layouts,
+            )
+            with self._memory_lock:
+                memory[name] = cached
+        return cached
+
     def observations(self, name: str) -> ObservationSet:
         """The code-reordering campaign for one benchmark (cached)."""
-        with self._memory_lock:
-            cached = self._observations.get(name)
-        if cached is None:
-            cached = self._measure_campaign(name, heap=False)
-            with self._memory_lock:
-                self._observations[name] = cached
-        return cached
+        return self._campaign(name, heap=False)
 
     def heap_observations(self, name: str) -> ObservationSet:
         """The code+heap randomization campaign (cached)."""
-        with self._memory_lock:
-            cached = self._heap_observations.get(name)
-        if cached is None:
-            cached = self._measure_campaign(name, heap=True)
-            with self._memory_lock:
-                self._heap_observations[name] = cached
-        return cached
+        return self._campaign(name, heap=True)
 
     def prefetch(
-        self,
-        names: Sequence[str] | None = None,
-        heap: bool = False,
-        workers: int | None = None,
+        self, names: Sequence[str] | None = None, heap: bool = False
     ) -> None:
         """Warm the campaign caches for several benchmarks at once.
 
-        Campaigns already in memory or fully present in the disk store
-        are loaded in place; the rest fan out over *workers* processes
-        through a single-machine :class:`MachinePark` carrying this
-        laboratory's machine seed and configuration, so the fanned-out
-        measurements are bit-identical to the serial path.  Partially
-        stored campaigns are resumed: only the missing layout suffix is
-        measured.
+        With ``workers == 0`` each campaign is served in turn through
+        the ordinary supervised path.  Otherwise campaigns already in
+        memory or fully present in the disk store are loaded in place;
+        the rest fan out over ``workers`` processes through a
+        single-machine :class:`MachinePark` carrying this laboratory's
+        machine seed and configuration, so the fanned-out measurements
+        are bit-identical to the serial path.  Partially stored
+        campaigns are resumed: only the missing layout suffix is
+        measured.  Either way a drain request stops new campaigns, and
+        an exhausted campaign is recorded in ``failure_report`` and
+        skipped (or raised, under ``fail_fast``).
         """
-        workers = self.workers if workers is None else workers
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
         names = list(self.suite) if names is None else list(names)
         memory = self._heap_observations if heap else self._observations
         missing = [n for n in dict.fromkeys(names) if n not in memory]
-        prefixes: dict[str, list[Observation]] = {}
-        for name in missing:
-            if self.store is None:
-                prefixes[name] = []
-                continue
-            stored = self.store.load(self._campaign_key(name, heap))
-            prefix = [] if stored is None else list(stored.observations)
-            if len(prefix) >= self.scale.n_layouts:
-                # Fully stored: serve it without measuring (a hit).
-                start = telemetry.tick_seconds()
-                result = ObservationSet(benchmark=name)
-                result.extend(prefix[: self.scale.n_layouts])
-                self.store.stats.record_hit(len(result))
-                with self._memory_lock:
-                    memory[name] = result
-                self._record(name, heap, 0, telemetry.tick_seconds() - start)
-            else:
-                prefixes[name] = prefix
-        to_measure = list(prefixes)
-        if not to_measure:
-            return
-        if workers == 0:
-            for name in to_measure:
-                if self.shutdown is not None and self.shutdown.requested:
-                    break  # draining: nothing new starts
+        supervisor = self._supervisor()
+        if self.workers == 0:
+            for name in missing:
+                if supervisor.draining:
+                    break  # nothing new starts
                 try:
-                    (self.heap_observations if heap else self.observations)(name)
+                    self._campaign(name, heap)
                 except CampaignExecutionError:
                     # Recorded in failure_report; keep serving the rest
                     # of the suite unless the caller wants to stop.
                     if self.fail_fast:
                         raise
+            return
+        stored: dict[str, ObservationSet | None] = {}
+        for name in missing:
+            start = telemetry.tick_seconds()
+            campaign = (
+                None if self.store is None
+                else self.store.load(self._campaign_key(name, heap))
+            )
+            if campaign is not None and len(campaign) >= self.scale.n_layouts:
+                # Fully stored: serve it without measuring (a hit).
+                result, _ = self._fetch(
+                    name, heap, self._measurer(name, heap), campaign
+                )
+                with self._memory_lock:
+                    memory[name] = result
+                self._record(name, heap, 0, telemetry.tick_seconds() - start)
+            else:
+                stored[name] = campaign
+        if not stored:
             return
         park = MachinePark(
             machine_seeds=[self.machine_seed],
@@ -416,36 +383,32 @@ class Laboratory:
         )
         start = telemetry.tick_seconds()
         suffixes = park.observe_suite(
-            to_measure,
+            list(stored),
             n_layouts=self.scale.n_layouts,
             randomize_heap=heap,
-            workers=workers,
-            start_indices={name: len(prefixes[name]) for name in to_measure},
-            retry_policy=self.retry_policy,
-            report=self.failure_report,
+            workers=self.workers,
+            start_indices={
+                name: 0 if campaign is None else len(campaign)
+                for name, campaign in stored.items()
+            },
+            retry_policy=supervisor.policy,
+            report=supervisor.report,
             fail_fast=self.fail_fast,
-            journal=self.journal,
-            shutdown=self.shutdown,
+            journal=supervisor.journal,
+            shutdown=supervisor.shutdown,
         )
-        elapsed = telemetry.tick_seconds() - start
-        per_campaign = elapsed / len(to_measure)
-        for name in to_measure:
+        per_campaign = (telemetry.tick_seconds() - start) / len(stored)
+        for name, campaign in stored.items():
             suffix = suffixes.get(name)
             if suffix is None:
-                # The campaign failed after its full retry budget; the
-                # incident is in failure_report.  Cache nothing — a
-                # short observation set must never masquerade as a
-                # complete campaign.
+                # Failed after its full retry budget (the incident is
+                # in failure_report) or never started (drained).  Cache
+                # nothing — a short observation set must never
+                # masquerade as a complete campaign.
                 continue
-            result = ObservationSet(benchmark=name)
-            result.extend(prefixes[name])
-            result.extend(suffix.observations)
-            measured = len(result) - len(prefixes[name])
-            if self.store is not None:
-                self.store.save(self._campaign_key(name, heap), result)
-                self.store.stats.record_miss(
-                    loaded=len(prefixes[name]), measured=measured
-                )
+            result, measured = self._fetch(
+                name, heap, lambda start_index, n: suffix.observations, campaign
+            )
             with self._memory_lock:
                 memory[name] = result
             self._record(name, heap, measured, per_campaign)

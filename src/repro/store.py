@@ -297,7 +297,11 @@ class CampaignStore:
         return persist
 
     def get(
-        self, key: CampaignKey, n_layouts: int, measure: MeasureFn
+        self,
+        key: CampaignKey,
+        n_layouts: int,
+        measure: MeasureFn,
+        stored: ObservationSet | None = None,
     ) -> ObservationSet:
         """The first *n_layouts* observations of a campaign.
 
@@ -305,12 +309,17 @@ class CampaignStore:
         (a *hit*); otherwise only the missing suffix is measured via
         ``measure(start_index, n_missing)`` and the union is persisted
         (a *miss* — partial reuse still avoids re-measuring the prefix).
+        This is the store's only hit/miss accounting.  *stored* is the
+        campaign as the caller already loaded it with :meth:`load`
+        (callers that must know the prefix before measuring); without
+        it the campaign is loaded here.
         """
         if n_layouts <= 0:
             raise ConfigurationError(
                 f"n_layouts must be positive, got {n_layouts}"
             )
-        stored = self.load(key)
+        if stored is None:
+            stored = self.load(key)
         prefix = list(stored.observations) if stored is not None else []
         if len(prefix) >= n_layouts:
             self.stats.record_hit(n_layouts)

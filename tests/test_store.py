@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.interferometer import Interferometer
-from repro.core.escalation import SampleEscalation
+from repro.core.escalation import PrecisionEscalation, SampleEscalation
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.lab import Laboratory, Scale
 from repro.machine.system import XeonE5440
@@ -222,8 +222,8 @@ class TestParallelLaboratory:
             assert [o.layout_seed for o in a] == [o.layout_seed for o in b]
 
     def test_prefetch_serial_path_populates_cache(self):
-        lab = Laboratory(scale=TINY, machine_seed=7)
-        lab.prefetch(["456.hmmer"], workers=0)
+        lab = Laboratory(scale=TINY, machine_seed=7, workers=0)
+        lab.prefetch(["456.hmmer"])
         assert "456.hmmer" in lab._observations
 
     def test_prefetch_resumes_partial_store(self, tmp_path):
@@ -235,8 +235,10 @@ class TestParallelLaboratory:
         )
         store_lab.store.save(key, prefix)
 
-        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        lab.prefetch(["456.hmmer"], workers=2)
+        lab = Laboratory(
+            scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=2
+        )
+        lab.prefetch(["456.hmmer"])
         obs = lab.observations("456.hmmer")
         assert len(obs) == TINY.n_layouts
         assert lab.store.stats.layouts_measured == TINY.n_layouts - 2
@@ -246,9 +248,8 @@ class TestParallelLaboratory:
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             Laboratory(scale=TINY, machine_seed=7, workers=-1)
-        lab = Laboratory(scale=TINY, machine_seed=7)
         with pytest.raises(ConfigurationError):
-            lab.prefetch(["456.hmmer"], workers=-2)
+            Laboratory(scale=TINY, machine_seed=7, workers=-2)
 
 
 class TestEscalationWithStore:
@@ -291,6 +292,34 @@ class TestEscalationWithStore:
         stored = CampaignStore(tmp_path).load(key)
         assert stored is not None
         assert len(stored) == result.samples_used
+
+
+    def test_escalation_is_accounted_by_the_store(self, tmp_path, machine):
+        # An unreachable precision target: every run escalates to its
+        # max_samples, so each run's measured count is known up front.
+        interferometer = Interferometer(machine, trace_events=2500)
+        benchmark = get_benchmark("470.lbm")
+
+        def escalate(max_samples):
+            store = CampaignStore(tmp_path)
+            PrecisionEscalation(
+                interferometer, batch=4, max_samples=max_samples,
+                target_percent_half_width=1e-12, store=store,
+            ).run(benchmark)
+            return store.stats.snapshot()
+
+        def snapshot(hits, misses, loaded, measured):
+            return {
+                "hits": hits, "misses": misses, "layouts_loaded": loaded,
+                "layouts_measured": measured, "quarantined": 0,
+                "hit_rate": hits / (hits + misses),
+            }
+
+        assert escalate(4) == snapshot(0, 1, loaded=0, measured=4)
+        # Resumed: the stored 4 layouts are loaded, 4 more measured.
+        assert escalate(8) == snapshot(0, 1, loaded=4, measured=4)
+        # Resumed with nothing left to measure: a pure hit.
+        assert escalate(8) == snapshot(1, 0, loaded=8, measured=0)
 
 
 class TestStoreStatsThreadSafety:

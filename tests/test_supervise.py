@@ -9,6 +9,7 @@ across a ``kill -9`` and a ``--resume``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -30,6 +31,7 @@ from repro.core.supervise import (
     run_with_deadline,
 )
 from repro.errors import (
+    CampaignExecutionError,
     CampaignTimeoutError,
     ConfigurationError,
     ShutdownRequested,
@@ -317,13 +319,14 @@ class TestHangRecovery:
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         start = telemetry.tick_seconds()
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3,
                 retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE,
             )
         elapsed = telemetry.tick_seconds() - start
         assert report.ok
@@ -340,12 +343,13 @@ class TestHangRecovery:
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
                 retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE,
             )
         assert report.ok
         assert report.breaker_tripped is None
@@ -374,11 +378,13 @@ class TestHangRecovery:
         # deadline and no retries the campaign fails structurally.
         plan = FaultPlan(seed=1, worker_hang=1.0, hang_seconds=HANG)
         report = FailureReport()
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=0, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             results = park.observe_suite(
                 ["470.lbm"], n_layouts=3, retry_policy=policy,
-                report=report, deadline_seconds=DEADLINE,
+                report=report,
             )
         assert results == {}
         assert not report.ok
@@ -393,12 +399,13 @@ class TestCircuitBreakerIntegration:
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
-                retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE, breaker_threshold=1,
+                retry_policy=policy, report=report, breaker_threshold=1,
             )
         assert report.breaker_tripped is not None
         assert "serial" in report.breaker_tripped
@@ -414,12 +421,13 @@ class TestCircuitBreakerIntegration:
             seed=1, hang_benchmarks=("470.lbm",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             park.observe_suite(
                 ["470.lbm"], n_layouts=3, retry_policy=policy,
-                report=report, deadline_seconds=DEADLINE,
-                breaker_threshold=1,
+                report=report, breaker_threshold=1,
             )
         assert report.breaker_tripped is None
 
@@ -441,6 +449,69 @@ class TestDrain:
         shutdown.request("SIGINT")
         lab.prefetch(["456.hmmer", "470.lbm"])
         assert lab.store.stats.layouts_measured == 0
+
+
+class TestOneSupervisedPath:
+    """The Laboratory and the MachinePark's serial path run campaigns
+    through the same supervisor, so one injected plan must leave the
+    same incidents on both.  (445.gobmk: no other test hangs it, so no
+    abandoned watchdog thread reads against these plans.)"""
+
+    @pytest.mark.parametrize(
+        "spec, deadline, expected",
+        [
+            # With this seed one counter read outlasts its re-reads on
+            # the first attempt only; the second attempt completes.
+            (
+                "seed=33,flaky_read=0.5,only_benchmarks=445.gobmk",
+                None,
+                [("recovered", 2)],
+            ),
+            (
+                f"seed=1,hang_benchmarks=445.gobmk,hang_seconds={HANG}",
+                DEADLINE,
+                [("timed_out", 1), ("recovered", 2)],
+            ),
+            ("seed=3,flaky_read=1.0", None, [("failed", 3)]),
+        ],
+        ids=["transient", "deadline", "exhausted"],
+    )
+    def test_lab_and_park_record_the_same_incidents(
+        self, spec, deadline, expected
+    ):
+        lab = Laboratory(
+            scale=TINY, machine_seed=7, max_retries=2,
+            deadline_seconds=deadline,
+        )
+        with faults.injected(FaultPlan.from_spec(spec)):
+            with contextlib.suppress(CampaignExecutionError):
+                lab.observations("445.gobmk")
+        park = MachinePark(machine_seeds=[7], trace_events=TINY.trace_events)
+        report = FailureReport()
+        with faults.injected(FaultPlan.from_spec(spec)):
+            park.observe_suite(
+                ["445.gobmk"], n_layouts=TINY.n_layouts, workers=0,
+                retry_policy=lab.retry_policy, report=report,
+            )
+
+        def seen(incidents):
+            return [(i.status, i.attempts) for i in incidents]
+
+        assert seen(lab.failure_report.incidents) == expected
+        assert seen(report.incidents) == expected
+
+    def test_serial_and_pooled_suites_journal_the_same_state(self, tmp_path):
+        names = ["456.hmmer", "470.lbm"]
+        states = []
+        for workers in (0, 2):
+            cache = tmp_path / f"workers-{workers}"
+            Laboratory(
+                scale=TINY, machine_seed=7, cache_dir=cache, workers=workers
+            ).prefetch(names)
+            states.append(SuiteJournal(cache / "suite-journal.json").replay())
+        assert states[0] == states[1]
+        assert states[0].committed_layouts("470.lbm") == TINY.n_layouts
+        assert not states[0].interrupted_campaigns
 
 
 class TestLaboratorySupervision:
